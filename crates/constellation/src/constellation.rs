@@ -374,6 +374,20 @@ impl StateBuffers {
     pub fn into_state(self) -> Option<ConstellationState> {
         self.state
     }
+
+    /// Exchanges the retained state with `other`: the caller takes ownership
+    /// of the most recent result without copying it and hands the buffers a
+    /// state to overwrite — [`Constellation::state_at_into`] rewrites every
+    /// field, so whatever `other` held never leaks into a later result.
+    /// Until then [`StateBuffers::state`] returns what `other` held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no state has been computed yet.
+    pub fn swap_state(&mut self, other: &mut ConstellationState) {
+        let state = self.state.as_mut().expect("no state has been computed yet");
+        std::mem::swap(state, other);
+    }
 }
 
 /// Builder for a [`Constellation`].
@@ -498,7 +512,7 @@ impl ConstellationBuilder {
 /// Equality is bit-exact (positions are compared as raw `f64`s), which is
 /// what the epoch pipeline's lockstep tests rely on: a pipelined run must be
 /// indistinguishable from a synchronous one.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConstellationState {
     /// The simulated time this state was computed for, in seconds.
     pub time_seconds: f64,
@@ -514,41 +528,6 @@ pub struct ConstellationState {
     ground_station_total: usize,
     /// Links removed from this state by the chaos link-flap mask.
     suppressed_links: usize,
-}
-
-impl Clone for ConstellationState {
-    fn clone(&self) -> Self {
-        ConstellationState {
-            time_seconds: self.time_seconds,
-            satellite_positions: self.satellite_positions.clone(),
-            ground_positions: self.ground_positions.clone(),
-            active: self.active.clone(),
-            links: self.links.clone(),
-            graph: self.graph.clone(),
-            path_algorithm: self.path_algorithm,
-            shell_offsets: self.shell_offsets.clone(),
-            satellite_total: self.satellite_total,
-            ground_station_total: self.ground_station_total,
-            suppressed_links: self.suppressed_links,
-        }
-    }
-
-    /// Field-wise `clone_from` so long-lived destinations (the coordinator
-    /// database, pipeline bundles) refresh their copy every epoch without
-    /// re-allocating the position, link and CSR buffers.
-    fn clone_from(&mut self, source: &Self) {
-        self.time_seconds = source.time_seconds;
-        self.satellite_positions.clone_from(&source.satellite_positions);
-        self.ground_positions.clone_from(&source.ground_positions);
-        self.active.clone_from(&source.active);
-        self.links.clone_from(&source.links);
-        self.graph.clone_from(&source.graph);
-        self.path_algorithm = source.path_algorithm;
-        self.shell_offsets.clone_from(&source.shell_offsets);
-        self.satellite_total = source.satellite_total;
-        self.ground_station_total = source.ground_station_total;
-        self.suppressed_links = source.suppressed_links;
-    }
 }
 
 impl ConstellationState {

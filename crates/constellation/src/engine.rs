@@ -1,61 +1,40 @@
-//! The high-throughput path engine: parallel, source-restricted and
-//! incrementally recomputing all-pairs shortest paths.
+//! The high-throughput path engine: parallel, source-restricted and scoped
+//! shortest paths.
 //!
 //! The coordinator must recompute shortest paths over the whole
 //! constellation graph at every update interval, which dominates its cost at
 //! scale (§3.1). [`PathEngine`] attacks that hot path in three ways on top
 //! of the CSR representation of [`crate::path::NetworkGraph`]:
 //!
-//! 1. **Scratch reuse** — result matrices, worker heaps and diff buffers are
-//!    owned by the engine and recycled, so a steady-state timestep solve
-//!    performs no allocation beyond what the OS hands back to the reused
-//!    buffers.
+//! 1. **Scratch reuse** — the result matrix and the worker heaps are owned
+//!    by the engine and overwritten in place, so a steady-state timestep
+//!    solve performs no allocation beyond what the OS hands back to the
+//!    reused buffers.
 //! 2. **Parallel per-source Dijkstra** — sources are fanned out over
 //!    `std::thread::scope` workers (no external dependencies), each writing
 //!    into disjoint rows of the flat result matrix.
-//! 3. **Incremental timestep recompute** — the engine diffs the canonical
-//!    edge list against the previous timestep and re-solves only sources
-//!    whose shortest paths can be affected, falling back to a full solve
-//!    when the delta is large.
+//! 3. **Scoped bounded rows** — a [`SolveScope`] restricts the solve to the
+//!    rows the testbed reads and stops each row once every node it must be
+//!    exact for has settled (see `docs/MEGASCALE.md`).
 //!
 //! The graph's per-edge bandwidth channel is deliberately invisible here:
-//! paths are selected by latency alone, so a bandwidth-only change between
-//! timesteps re-solves nothing — the coordinator's programme delta picks the
-//! new bandwidth up when it walks the (unchanged) predecessor chains.
+//! paths are selected by latency alone — the coordinator's programme delta
+//! picks a link's bandwidth up when it walks the predecessor chains.
 //!
-//! `docs/PATHS.md` is the user-facing guide to choosing between the
-//! algorithms and to the `path-algorithm` configuration key.
+//! `docs/PATHS.md` is the user-facing guide to the algorithms and to the
+//! `path-algorithm` configuration key.
 
 use crate::bbox::BoundingBox;
 use crate::constellation::ConstellationState;
-use crate::path::{
-    Cost, DijkstraHeap, Edge, NetworkGraph, PathAlgorithm, ShortestPaths,
-    AUTO_FLOYD_WARSHALL_MAX_NODES, UNREACHABLE,
-};
+use crate::path::{Cost, DijkstraHeap, NetworkGraph, PathAlgorithm, ShortestPaths};
 
-/// If more than this fraction of edges changed between timesteps, the
-/// incremental path gives up and re-solves everything: diffing and
-/// affected-source classification would cost more than they save.
-const MAX_INCREMENTAL_EDGE_DELTA: f64 = 0.25;
-
-/// Minimum edge-delta budget, so that small graphs (where classification is
-/// nearly free) still take the incremental path.
-const MIN_INCREMENTAL_EDGE_BUDGET: usize = 8;
-
-/// If more than this fraction of sources is affected by the edge delta, a
-/// full solve is cheaper than bookkeeping which rows to keep.
-const MAX_INCREMENTAL_AFFECTED: f64 = 0.5;
-
-/// How a [`PathEngine::solve_sources`] call was actually executed.
+/// How a [`PathEngine`] solve was actually executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveKind {
     /// Every requested source row was solved with per-source Dijkstra.
     FullDijkstra,
     /// The full all-pairs matrix was computed with Floyd–Warshall.
     FloydWarshall,
-    /// Rows untouched by the edge delta were reused from the previous
-    /// timestep; only affected sources were re-solved.
-    Incremental,
     /// A [`SolveScope`]-restricted solve: bounded per-source Dijkstra runs
     /// that terminate once every required (programme) target is settled,
     /// plus full rows for the ALT landmarks.
@@ -68,14 +47,8 @@ pub enum SolveKind {
 pub struct SolveStats {
     /// How the solve was executed.
     pub kind: SolveKind,
-    /// Number of source rows actually re-solved.
+    /// Number of source rows solved.
     pub solved_sources: usize,
-    /// Number of source rows copied over from the previous timestep.
-    pub reused_sources: usize,
-    /// Edges added (or re-weighted) relative to the previous timestep.
-    pub edges_added: usize,
-    /// Edges removed (or re-weighted) relative to the previous timestep.
-    pub edges_removed: usize,
     /// Scoped solves only: number of in-scope source rows solved.
     pub scope_sources: usize,
     /// Scoped solves only: number of required (programme) target nodes each
@@ -94,9 +67,6 @@ impl Default for SolveStats {
         SolveStats {
             kind: SolveKind::FullDijkstra,
             solved_sources: 0,
-            reused_sources: 0,
-            edges_added: 0,
-            edges_removed: 0,
             scope_sources: 0,
             scope_required: 0,
             scope_landmarks: 0,
@@ -323,11 +293,11 @@ impl SolveScope {
     }
 }
 
-/// A reusable, parallel, incrementally recomputing shortest-path solver.
+/// A reusable, parallel shortest-path solver.
 ///
-/// The engine owns the result matrices and all scratch memory; feeding it
-/// the graph of each timestep returns a borrowed [`ShortestPaths`] without
-/// re-allocating in steady state.
+/// The engine owns the result matrix and all scratch memory; feeding it the
+/// graph of each timestep overwrites the matrix in place and returns a
+/// borrowed [`ShortestPaths`] without re-allocating in steady state.
 ///
 /// # Examples
 ///
@@ -337,7 +307,7 @@ impl SolveScope {
 ///
 /// // Timestep 0: a 3-node line 0 —10— 1 —10— 2.
 /// let g0 = NetworkGraph::from_edges(3, [(0, 1, 10), (1, 2, 10)]);
-/// let mut engine = PathEngine::new(PathAlgorithm::Auto);
+/// let mut engine = PathEngine::new(PathAlgorithm::Dijkstra);
 /// let paths = engine.solve(&g0);
 /// assert_eq!(paths.latency_micros(0, 2), Some(20));
 /// assert_eq!(paths.path(0, 2), Some(vec![0, 1, 2]));
@@ -353,28 +323,30 @@ impl SolveScope {
 pub struct PathEngine {
     algorithm: PathAlgorithm,
     threads: usize,
-    /// Canonical edge list of the previously solved graph.
-    prev_edges: Vec<Edge>,
-    /// Whether `paths` holds a valid previous solve to build on.
-    have_prev: bool,
-    /// Whether the previous solve was scoped (bounded rows can never seed an
-    /// incremental solve — their tentative entries are not reusable).
-    prev_scoped: bool,
-    /// The current (front) result.
+    /// Whether `paths` holds the result of a solve (and has not been
+    /// swapped out since).
+    solved: bool,
+    /// The result matrix, overwritten in place by every solve.
     paths: ShortestPaths,
-    /// The back buffer the next solve is assembled into.
-    spare: ShortestPaths,
     /// One Dijkstra heap per worker thread, reused across solves.
     heaps: Vec<DijkstraHeap>,
-    /// Diff buffers reused across solves.
-    added: Vec<Edge>,
-    removed: Vec<Edge>,
-    affected: Vec<bool>,
     all_sources: Vec<u32>,
-    /// Per-row settled-node counts of the most recent scoped solve (scratch).
+    /// Per-row settled-node counts of the most recent solve (scratch).
     row_settled: Vec<u32>,
     stats: SolveStats,
 }
+
+/// One row of a solve: (source, the scope bounding it — `None` for an
+/// unbounded row —, distances, predecessors, exactness bound, settled-node
+/// count).
+type RowJob<'a> = (
+    u32,
+    Option<&'a SolveScope>,
+    &'a mut [Cost],
+    &'a mut [u32],
+    &'a mut Cost,
+    &'a mut u32,
+);
 
 impl PathEngine {
     /// Creates an engine with as many worker threads as the machine offers.
@@ -391,15 +363,9 @@ impl PathEngine {
         PathEngine {
             algorithm,
             threads: threads.max(1),
-            prev_edges: Vec::new(),
-            have_prev: false,
-            prev_scoped: false,
+            solved: false,
             paths: ShortestPaths::empty(0),
-            spare: ShortestPaths::empty(0),
             heaps: Vec::new(),
-            added: Vec::new(),
-            removed: Vec::new(),
-            affected: Vec::new(),
             all_sources: Vec::new(),
             row_settled: Vec::new(),
             stats: SolveStats::default(),
@@ -421,13 +387,20 @@ impl PathEngine {
         self.stats
     }
 
-    /// The most recent result, if any solve has happened.
+    /// The most recent result, if a solve has happened and its result has
+    /// not been moved out with [`PathEngine::swap_paths`] since.
     pub fn paths(&self) -> Option<&ShortestPaths> {
-        if self.have_prev {
-            Some(&self.paths)
-        } else {
-            None
-        }
+        self.solved.then_some(&self.paths)
+    }
+
+    /// Exchanges the engine's result matrix with `other`: the caller takes
+    /// ownership of the most recent result without copying it and hands the
+    /// engine a buffer to overwrite — every solve re-shapes and rewrites the
+    /// matrix completely, so whatever `other` held never leaks into a later
+    /// result. [`PathEngine::paths`] answers `None` until the next solve.
+    pub fn swap_paths(&mut self, other: &mut ShortestPaths) {
+        std::mem::swap(&mut self.paths, other);
+        self.solved = false;
     }
 
     /// Solves shortest paths from *every* node of `graph`.
@@ -438,7 +411,7 @@ impl PathEngine {
             self.all_sources.extend(0..n);
         }
         let sources = std::mem::take(&mut self.all_sources);
-        self.solve_sources_inner(graph, &sources);
+        self.solve_rows(graph, &sources, None);
         self.all_sources = sources;
         &self.paths
     }
@@ -452,137 +425,12 @@ impl PathEngine {
     ///
     /// Panics if a source index is out of range for `graph`.
     pub fn solve_sources(&mut self, graph: &NetworkGraph, sources: &[u32]) -> &ShortestPaths {
-        self.solve_sources_inner(graph, sources);
-        &self.paths
-    }
-
-    fn solve_sources_inner(&mut self, graph: &NetworkGraph, sources: &[u32]) {
-        let n = graph.node_count();
         assert!(
-            sources.iter().all(|&s| (s as usize) < n),
+            sources.iter().all(|&s| (s as usize) < graph.node_count()),
             "source index out of range"
         );
-
-        if n == 0 {
-            // Degenerate empty graph: an empty result, no rows to chunk.
-            self.spare.reset(0, sources);
-            std::mem::swap(&mut self.paths, &mut self.spare);
-            self.stats = SolveStats::default();
-            self.finish(graph, false);
-            return;
-        }
-
-        let incremental_allowed = matches!(
-            self.algorithm,
-            PathAlgorithm::Incremental | PathAlgorithm::Auto
-        );
-        let use_floyd_warshall = match self.algorithm {
-            PathAlgorithm::FloydWarshall => true,
-            PathAlgorithm::Auto => {
-                n <= AUTO_FLOYD_WARSHALL_MAX_NODES && sources.len() == n
-            }
-            _ => false,
-        };
-
-        if use_floyd_warshall {
-            self.paths = graph.floyd_warshall();
-            self.stats = SolveStats {
-                kind: SolveKind::FloydWarshall,
-                solved_sources: n,
-                ..SolveStats::default()
-            };
-            self.finish(graph, false);
-            return;
-        }
-
-        // Diff the edge set against the previous timestep and classify the
-        // sources whose rows can be reused.
-        let mut incremental = false;
-        if incremental_allowed && self.compatible_previous(graph, sources) {
-            self.diff_edges(graph);
-            let delta = self.added.len() + self.removed.len();
-            let budget = ((self.prev_edges.len() as f64 * MAX_INCREMENTAL_EDGE_DELTA) as usize)
-                .max(MIN_INCREMENTAL_EDGE_BUDGET);
-            if delta <= budget {
-                self.classify_affected();
-                let affected = self.affected.iter().filter(|a| **a).count();
-                if (affected as f64) <= sources.len() as f64 * MAX_INCREMENTAL_AFFECTED {
-                    incremental = true;
-                }
-            }
-        }
-
-        self.spare.reset(n as u32, sources);
-        let mut solved = 0usize;
-        let mut reused = 0usize;
-        {
-            let row_len = n;
-            let ShortestPaths {
-                dist: spare_dist,
-                prev: spare_prev,
-                ..
-            } = &mut self.spare;
-            // One job per row that needs a fresh Dijkstra run; reused rows
-            // are copied straight out of the previous result.
-            let mut jobs: Vec<(u32, &mut [Cost], &mut [u32])> = Vec::new();
-            for ((row, (dist_row, prev_row)), &source) in spare_dist
-                .chunks_mut(row_len)
-                .zip(spare_prev.chunks_mut(row_len))
-                .enumerate()
-                .zip(sources.iter())
-            {
-                let keep = incremental && !self.affected[row];
-                if keep {
-                    let old_row = self.paths.rows[source as usize] as usize;
-                    dist_row.copy_from_slice(&self.paths.dist[old_row * row_len..(old_row + 1) * row_len]);
-                    prev_row.copy_from_slice(&self.paths.prev[old_row * row_len..(old_row + 1) * row_len]);
-                    reused += 1;
-                } else {
-                    jobs.push((source, dist_row, prev_row));
-                    solved += 1;
-                }
-            }
-
-            let workers = self.threads.min(jobs.len()).max(1);
-            while self.heaps.len() < workers {
-                self.heaps.push(DijkstraHeap::new());
-            }
-            if workers <= 1 {
-                if let Some(heap) = self.heaps.first_mut() {
-                    for (source, dist_row, prev_row) in &mut jobs {
-                        graph.dijkstra_into(*source, dist_row, prev_row, heap);
-                    }
-                } else {
-                    debug_assert!(jobs.is_empty());
-                }
-            } else {
-                let per_worker = jobs.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (chunk, heap) in jobs.chunks_mut(per_worker).zip(self.heaps.iter_mut()) {
-                        scope.spawn(move || {
-                            for (source, dist_row, prev_row) in chunk {
-                                graph.dijkstra_into(*source, dist_row, prev_row, heap);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        std::mem::swap(&mut self.paths, &mut self.spare);
-        self.stats = SolveStats {
-            kind: if incremental {
-                SolveKind::Incremental
-            } else {
-                SolveKind::FullDijkstra
-            },
-            solved_sources: solved,
-            reused_sources: reused,
-            edges_added: if incremental { self.added.len() } else { 0 },
-            edges_removed: if incremental { self.removed.len() } else { 0 },
-            ..SolveStats::default()
-        };
-        self.finish(graph, false);
+        self.solve_rows(graph, sources, None);
+        &self.paths
     }
 
     /// Solves the rows of a [`SolveScope`]: every source row is computed with
@@ -597,97 +445,94 @@ impl PathEngine {
     /// and must be re-queried through
     /// [`ShortestPaths::one_shot_latency`](crate::path::ShortestPaths::one_shot_latency).
     ///
-    /// Scoped solves never reuse previous rows and never seed a later
-    /// incremental solve (a bounded row's tentative entries are not
-    /// reusable).
-    ///
     /// # Panics
     ///
     /// Panics if the scope was derived for a different node count than
     /// `graph` has.
     pub fn solve_scope(&mut self, graph: &NetworkGraph, scope: &SolveScope) -> &ShortestPaths {
-        let n = graph.node_count();
         assert_eq!(
-            scope.node_count as usize, n,
+            scope.node_count as usize,
+            graph.node_count(),
             "scope node count does not match the graph"
         );
+        self.solve_rows(graph, &scope.sources, Some(scope));
+        &self.paths
+    }
 
-        let use_floyd_warshall = match self.algorithm {
-            PathAlgorithm::FloydWarshall => true,
-            PathAlgorithm::Auto => n <= AUTO_FLOYD_WARSHALL_MAX_NODES,
-            _ => false,
-        };
-        if n == 0 || use_floyd_warshall {
-            // Tiny graphs: the full cubic sweep is cheaper than bounding and
-            // yields every row exact, which satisfies the scope trivially.
-            self.solve_sources_inner(graph, &scope.sources);
-            return &self.paths;
+    /// The one solve loop: overwrites the result matrix in place with one
+    /// row per source. With a scope, non-landmark rows run the bounded
+    /// kernel; every other row — landmark rows, and all rows of an unscoped
+    /// solve — is simply an unbounded row.
+    fn solve_rows(&mut self, graph: &NetworkGraph, sources: &[u32], scope: Option<&SolveScope>) {
+        let n = graph.node_count();
+        self.solved = true;
+        if self.algorithm == PathAlgorithm::FloydWarshall && n > 0 {
+            // The cubic reference sweep yields every row exact, which
+            // satisfies any source set and any scope trivially.
+            self.paths = graph.floyd_warshall();
+            self.stats = SolveStats {
+                kind: SolveKind::FloydWarshall,
+                solved_sources: n,
+                ..SolveStats::default()
+            };
+            return;
         }
 
-        // Scoped solves never reuse previous rows, so they skip the
-        // double-buffer swap and write into the result in place: at mega
-        // scale the row matrix runs to hundreds of megabytes, and keeping a
-        // second one both doubles peak memory and pays a first-touch stall
-        // for every page of the spare on the second epoch.
-        self.paths.reset(n as u32, &scope.sources);
-        self.paths.landmarks.extend_from_slice(&scope.landmarks);
+        self.paths.reset(n as u32, sources);
         self.row_settled.clear();
-        self.row_settled.resize(scope.sources.len(), 0);
+        self.row_settled.resize(sources.len(), 0);
+        if let Some(scope) = scope {
+            self.paths.landmarks.extend_from_slice(&scope.landmarks);
+        }
         {
             let ShortestPaths {
-                dist: spare_dist,
-                prev: spare_prev,
+                dist,
+                prev,
                 exact_bounds,
                 ..
             } = &mut self.paths;
-            // One job per row: (source, landmark?, dist, prev, bound,
-            // settled). Landmark rows run the unbounded kernel and keep
-            // their reset-time bound of UNREACHABLE (fully exact).
-            let mut jobs: Vec<(u32, bool, &mut [Cost], &mut [u32], &mut Cost, &mut u32)> =
-                Vec::with_capacity(scope.sources.len());
-            for ((((dist_row, prev_row), bound), settled), &source) in spare_dist
-                .chunks_mut(n)
-                .zip(spare_prev.chunks_mut(n))
+            // Unbounded rows keep their reset-time bound of UNREACHABLE
+            // (fully exact). An empty graph has no rows to chunk.
+            let row_len = n.max(1);
+            let mut jobs: Vec<RowJob<'_>> = Vec::with_capacity(sources.len());
+            for ((((dist_row, prev_row), bound), settled), &source) in dist
+                .chunks_mut(row_len)
+                .zip(prev.chunks_mut(row_len))
                 .zip(exact_bounds.iter_mut())
                 .zip(self.row_settled.iter_mut())
-                .zip(scope.sources.iter())
+                .zip(sources.iter())
             {
-                let landmark = scope.landmarks.binary_search(&source).is_ok();
-                jobs.push((source, landmark, dist_row, prev_row, bound, settled));
+                let bounded_by = scope.filter(|s| s.landmarks.binary_search(&source).is_err());
+                jobs.push((source, bounded_by, dist_row, prev_row, bound, settled));
             }
 
             let workers = self.threads.min(jobs.len()).max(1);
             while self.heaps.len() < workers {
                 self.heaps.push(DijkstraHeap::new());
             }
-            let required = &scope.required;
-            let required_count = scope.required_count;
-            let run = |job: &mut (u32, bool, &mut [Cost], &mut [u32], &mut Cost, &mut u32),
-                       heap: &mut DijkstraHeap| {
-                let (source, landmark, dist_row, prev_row, bound, settled) = job;
-                if *landmark {
-                    graph.dijkstra_into(*source, dist_row, prev_row, heap);
-                    **settled = n as u32;
-                } else {
-                    let (b, s) = graph.dijkstra_bounded_into(
-                        *source,
-                        required,
-                        required_count,
-                        dist_row,
-                        prev_row,
-                        heap,
-                    );
-                    **bound = b;
-                    **settled = s;
+            let run = |job: &mut RowJob<'_>, heap: &mut DijkstraHeap| {
+                let (source, bounded_by, dist_row, prev_row, bound, settled) = job;
+                match bounded_by {
+                    Some(scope) => {
+                        (**bound, **settled) = graph.dijkstra_bounded_into(
+                            *source,
+                            &scope.required,
+                            scope.required_count,
+                            dist_row,
+                            prev_row,
+                            heap,
+                        );
+                    }
+                    None => {
+                        graph.dijkstra_into(*source, dist_row, prev_row, heap);
+                        **settled = n as u32;
+                    }
                 }
             };
             if workers <= 1 {
-                if let Some(heap) = self.heaps.first_mut() {
-                    for job in &mut jobs {
-                        run(job, heap);
-                    }
-                } else {
-                    debug_assert!(jobs.is_empty());
+                let heap = &mut self.heaps[0];
+                for job in &mut jobs {
+                    run(job, heap);
                 }
             } else {
                 let per_worker = jobs.len().div_ceil(workers);
@@ -703,107 +548,27 @@ impl PathEngine {
             }
         }
 
-        self.stats = SolveStats {
-            kind: SolveKind::Scoped,
-            solved_sources: scope.sources.len(),
-            scope_sources: scope.sources.len(),
-            scope_required: scope.required_count as usize,
-            scope_landmarks: scope.landmarks.len(),
-            scope_settled: self.row_settled.iter().map(|&s| u64::from(s)).sum(),
-            ..SolveStats::default()
+        self.stats = match scope {
+            Some(scope) => SolveStats {
+                kind: SolveKind::Scoped,
+                solved_sources: sources.len(),
+                scope_sources: sources.len(),
+                scope_required: scope.required_count as usize,
+                scope_landmarks: scope.landmarks.len(),
+                scope_settled: self.row_settled.iter().map(|&s| u64::from(s)).sum(),
+            },
+            None => SolveStats {
+                solved_sources: sources.len(),
+                ..SolveStats::default()
+            },
         };
-        self.finish(graph, true);
-        &self.paths
-    }
-
-    /// Records the solved graph's edges as the new previous timestep.
-    fn finish(&mut self, graph: &NetworkGraph, scoped: bool) {
-        self.prev_edges.clear();
-        self.prev_edges.extend_from_slice(graph.edges());
-        self.have_prev = true;
-        self.prev_scoped = scoped;
-    }
-
-    /// Whether the previous solve can seed an incremental one: same node
-    /// count and the same solved source set, in the same order — and the
-    /// previous solve was not scoped (bounded rows hold tentative entries
-    /// that must never be copied forward).
-    fn compatible_previous(&self, graph: &NetworkGraph, sources: &[u32]) -> bool {
-        self.have_prev
-            && !self.prev_scoped
-            && self.paths.node_count() == graph.node_count()
-            && self.paths.solved_sources() == sources
-    }
-
-    /// Merge-walks the two sorted canonical edge lists into `added` /
-    /// `removed` (a re-weighted edge appears in both).
-    fn diff_edges(&mut self, graph: &NetworkGraph) {
-        self.added.clear();
-        self.removed.clear();
-        let old = &self.prev_edges;
-        let new = graph.edges();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old.len() && j < new.len() {
-            let (oa, ob, ow) = old[i];
-            let (na, nb, nw) = new[j];
-            match (oa, ob).cmp(&(na, nb)) {
-                std::cmp::Ordering::Less => {
-                    self.removed.push(old[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.added.push(new[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if ow != nw {
-                        self.removed.push(old[i]);
-                        self.added.push(new[j]);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        self.removed.extend_from_slice(&old[i..]);
-        self.added.extend_from_slice(&new[j..]);
-    }
-
-    /// Marks the source rows whose shortest paths can be affected by the
-    /// edge delta.
-    ///
-    /// For a removed (or weight-increased) edge `(u, v, w)`, a source `s` is
-    /// affected iff the edge lies on *some* shortest path from `s`, i.e.
-    /// `dist[s][u] + w == dist[s][v]` in either direction — any
-    /// shortest-path tree edge satisfies that equality, so unaffected rows
-    /// keep valid predecessor trees. For an added (or weight-decreased) edge,
-    /// `s` is affected iff the edge offers a strict improvement at one of
-    /// its endpoints: `dist[s][u] + w < dist[s][v]` or vice versa. Chains of
-    /// simultaneously added edges are covered because every prefix of a new
-    /// path ends in an edge whose endpoints pass exactly this test.
-    fn classify_affected(&mut self) {
-        let n = self.paths.node_count();
-        let rows = self.paths.source_count();
-        self.affected.clear();
-        self.affected.resize(rows, false);
-        for row in 0..rows {
-            let dist = &self.paths.dist[row * n..(row + 1) * n];
-            let hit = self.removed.iter().any(|&(u, v, w)| {
-                let (du, dv) = (dist[u as usize], dist[v as usize]);
-                (du != UNREACHABLE && du.saturating_add(w) == dv)
-                    || (dv != UNREACHABLE && dv.saturating_add(w) == du)
-            }) || self.added.iter().any(|&(u, v, w)| {
-                let (du, dv) = (dist[u as usize], dist[v as usize]);
-                du.saturating_add(w) < dv || dv.saturating_add(w) < du
-            });
-            self.affected[row] = hit;
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::Edge;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -887,67 +652,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_reuses_unaffected_rows() {
-        // A long line; changing the far end must not re-solve sources near
-        // the start... but on a line every source reaches the far end, so
-        // use two components: a line 0-1-2 and a line 3-4-5.
-        let g0 = NetworkGraph::from_edges(6, [(0, 1, 10), (1, 2, 10), (3, 4, 10), (4, 5, 10)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 1);
-        engine.solve(&g0);
-        assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
-
-        // Re-weight one edge of the second component.
-        let g1 = NetworkGraph::from_edges(6, [(0, 1, 10), (1, 2, 10), (3, 4, 25), (4, 5, 10)]);
-        let paths = engine.solve(&g1).clone();
-        assert_eq!(paths.latency_micros(3, 5), Some(35));
-        assert_eq!(paths.latency_micros(0, 2), Some(20));
-        let stats = engine.last_solve();
-        assert_eq!(stats.kind, SolveKind::Incremental);
-        // Sources 0, 1, 2 cannot reach the changed edge: reused.
-        assert_eq!(stats.reused_sources, 3);
-        assert_eq!(stats.solved_sources, 3);
-        assert_eq!(stats.edges_added, 1);
-        assert_eq!(stats.edges_removed, 1);
-        assert_matches_reference(&g1, &paths);
-    }
-
-    #[test]
-    fn unchanged_graph_resolves_nothing() {
-        let g = NetworkGraph::from_edges(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 2);
-        engine.solve(&g);
-        let paths = engine.solve(&g).clone();
-        let stats = engine.last_solve();
-        assert_eq!(stats.kind, SolveKind::Incremental);
-        assert_eq!(stats.solved_sources, 0);
-        assert_eq!(stats.reused_sources, 4);
-        assert_matches_reference(&g, &paths);
-    }
-
-    #[test]
-    fn bandwidth_only_changes_reuse_every_row() {
-        let g0 = NetworkGraph::from_links(3, [(0, 1, 10, 100), (1, 2, 10, 100)]);
-        let g1 = NetworkGraph::from_links(3, [(0, 1, 10, 900), (1, 2, 10, 50)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 1);
-        engine.solve(&g0);
-        engine.solve(&g1);
-        let stats = engine.last_solve();
-        assert_eq!(stats.kind, SolveKind::Incremental);
-        assert_eq!(stats.solved_sources, 0, "latencies unchanged: nothing to re-solve");
-        assert_eq!(stats.reused_sources, 3);
-    }
-
-    #[test]
     fn large_delta_falls_back_to_full_solve() {
+        // There is only the full solve to fall back to: an entirely fresh
+        // edge set overwrites every row of the previous timestep in place.
         let mut rng = StdRng::seed_from_u64(11);
         let e0 = random_edges(&mut rng, 20, 20);
-        let e1 = random_edges(&mut rng, 20, 20); // Entirely fresh edge set.
+        let e1 = random_edges(&mut rng, 20, 20);
         let g0 = NetworkGraph::from_edges(20, e0);
         let g1 = NetworkGraph::from_edges(20, e1);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 2);
+        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 2);
         engine.solve(&g0);
         let paths = engine.solve(&g1).clone();
         assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
+        assert_eq!(engine.last_solve().solved_sources, 20);
         assert_matches_reference(&g1, &paths);
     }
 
@@ -978,33 +695,13 @@ mod tests {
     #[test]
     fn changing_source_set_still_yields_correct_rows() {
         let g = NetworkGraph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 1);
+        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
         engine.solve_sources(&g, &[0, 4]);
         let paths = engine.solve_sources(&g, &[0, 2]).clone();
-        // Source sets differ: no incremental reuse, but results are right.
+        // The matrix is re-shaped in place: no row of the old set survives.
         assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
         assert!(paths.is_solved(2) && !paths.is_solved(4));
         assert_eq!(paths.latency_micros(2, 4), Some(2));
-    }
-
-    #[test]
-    fn auto_uses_floyd_warshall_on_tiny_graphs_and_incremental_on_repeats() {
-        let tiny = NetworkGraph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-        let mut engine = PathEngine::new(PathAlgorithm::Auto);
-        engine.solve(&tiny);
-        assert_eq!(engine.last_solve().kind, SolveKind::FloydWarshall);
-
-        // A graph above the Floyd–Warshall cutoff: full Dijkstra first, then
-        // incremental reuse on the unchanged repeat.
-        let n = AUTO_FLOYD_WARSHALL_MAX_NODES + 10;
-        let edges: Vec<Edge> = (1..n as u32).map(|i| (i - 1, i, 7)).collect();
-        let big = NetworkGraph::from_edges(n, edges);
-        engine.solve(&big);
-        assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
-        let paths = engine.solve(&big).clone();
-        assert_eq!(engine.last_solve().kind, SolveKind::Incremental);
-        assert_eq!(engine.last_solve().solved_sources, 0);
-        assert_matches_reference(&big, &paths);
     }
 
     #[test]
@@ -1028,9 +725,30 @@ mod tests {
             assert!(paths.is_exact(0, t));
             assert!(paths.is_exact(50, t));
         }
-        // A scoped solve never seeds an incremental one.
-        engine.solve_sources(&graph, &[3, 9, 27, 77]);
+        // An unscoped solve into the same buffer leaves no bound or landmark
+        // of the scoped one behind.
+        let paths = engine.solve_sources(&graph, &[3, 9, 27, 77]);
+        assert!(paths.landmark_nodes().is_empty());
+        assert!((0..n).all(|t| paths.is_exact(3, t)));
         assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
+        assert_eq!(engine.last_solve().scope_settled, 0);
+    }
+
+    #[test]
+    fn swapping_the_result_out_hands_it_over_without_a_copy() {
+        let g = NetworkGraph::from_edges(3, [(0, 1, 10), (1, 2, 10)]);
+        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
+        let matrix = engine.solve(&g).dist.as_ptr();
+        let mut taken = ShortestPaths::empty(0);
+        engine.swap_paths(&mut taken);
+        assert!(engine.paths().is_none(), "the engine no longer owns a result");
+        assert_eq!(taken, g.all_pairs_dijkstra());
+        assert_eq!(taken.dist.as_ptr(), matrix, "the matrix moved, it was not copied");
+        // The buffer handed in (here: the old result, stale) is overwritten
+        // completely by the next solve.
+        let g1 = NetworkGraph::from_edges(3, [(0, 2, 5)]);
+        engine.swap_paths(&mut taken);
+        assert_eq!(engine.solve(&g1), &g1.all_pairs_dijkstra());
     }
 
     #[test]
@@ -1087,8 +805,6 @@ mod tests {
             let landmarks: Vec<u32> = vec![0, (n / 2) as u32];
             prop_assume!(!required.is_empty());
             let scope = SolveScope::from_sets(n, &required, &extra_scope, &landmarks);
-            // Dijkstra keeps the graph above the Auto/FW cutoff irrelevant:
-            // we want the bounded kernel exercised at every size.
             let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, threads);
             let mut reference = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
             for _ in 0..steps {
@@ -1154,8 +870,10 @@ mod tests {
             prop_assert_eq!(one.solve_scope(&graph, &scope), many.solve_scope(&graph, &scope));
         }
 
+        // Every solve overwrites the previous timestep's matrix in place;
+        // nothing of the old graph may survive into the new result.
         #[test]
-        fn incremental_equals_full_recompute_across_timesteps(
+        fn in_place_resolves_equal_a_full_recompute_across_timesteps(
             seed in 0u64..500,
             n in 4usize..28,
             extra in 0usize..30,
@@ -1164,7 +882,7 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut edges = random_edges(&mut rng, n, extra);
-            let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 2);
+            let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 2);
             engine.solve(&NetworkGraph::from_edges(n, edges.clone()));
             for _ in 0..steps {
                 edges = mutate_edges(&mut rng, n, &edges, churn);
@@ -1181,10 +899,10 @@ mod tests {
         }
 
         #[test]
-        fn auto_agrees_with_both_references(seed in 0u64..500, n in 2usize..90, extra in 0usize..40) {
+        fn engine_agrees_with_both_references(seed in 0u64..500, n in 2usize..90, extra in 0usize..40) {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = NetworkGraph::from_edges(n, random_edges(&mut rng, n, extra));
-            let mut engine = PathEngine::new(PathAlgorithm::Auto);
+            let mut engine = PathEngine::new(PathAlgorithm::Dijkstra);
             let result = engine.solve(&graph).clone();
             let dijkstra = graph.all_pairs_dijkstra();
             let floyd_warshall = graph.floyd_warshall();
@@ -1192,6 +910,33 @@ mod tests {
                 for b in 0..n {
                     prop_assert_eq!(result.latency_micros(a, b), dijkstra.latency_micros(a, b));
                     prop_assert_eq!(result.latency_micros(a, b), floyd_warshall.latency_micros(a, b));
+                }
+            }
+        }
+
+        // A full row is an unbounded row of the same loop: a scope that
+        // requires every node bounds nothing, so it must reproduce the
+        // unscoped solve entry for entry on any source subset.
+        #[test]
+        fn rows_of_a_scope_requiring_every_node_equal_unscoped_rows(
+            seed in 0u64..200,
+            n in 3usize..40,
+            threads in 1usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = NetworkGraph::from_edges(n, random_edges(&mut rng, n, n));
+            let every_node: Vec<u32> = (0..n as u32).collect();
+            let scope = SolveScope::from_sets(n, &every_node, &[], &[]);
+            let sources: Vec<u32> = (0..n as u32).filter(|s| s % 2 == 0).collect();
+            let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, threads);
+            let scoped = engine.solve_scope(&graph, &scope).clone();
+            let unscoped = engine.solve_sources(&graph, &sources);
+            for &s in &sources {
+                let s = s as usize;
+                for t in 0..n {
+                    prop_assert!(scoped.is_exact(s, t));
+                    prop_assert_eq!(scoped.latency_micros(s, t), unscoped.latency_micros(s, t));
+                    prop_assert_eq!(scoped.predecessor(s, t), unscoped.predecessor(s, t));
                 }
             }
         }

@@ -11,8 +11,8 @@
 //! * link distances, one-way latencies and bandwidths,
 //! * shortest network paths and their end-to-end latencies, computed by the
 //!   [`engine::PathEngine`] over a flat CSR graph — parallel per-source
-//!   Dijkstra, all-pairs Floyd–Warshall, and incremental per-timestep
-//!   recomputation (see `docs/PATHS.md`),
+//!   Dijkstra, scoped to the rows the testbed reads, with all-pairs
+//!   Floyd–Warshall as the reference (see `docs/PATHS.md`),
 //! * the set of satellites inside the configured bounding box (used to
 //!   suspend microVMs of satellites that are out of scope),
 //! * diffs between consecutive states, which the coordinator ships to the

@@ -11,7 +11,7 @@
 //! sparse (the +GRID topology gives every satellite degree four);
 //! Floyd–Warshall is provided for complete all-pairs matrices on small
 //! topologies and as the reference implementation in tests. The stateful,
-//! parallel and incrementally recomputing driver on top of this module is
+//! parallel driver on top of this module is
 //! [`crate::engine::PathEngine`] — see `docs/PATHS.md` for the
 //! algorithm-selection guide.
 
@@ -43,8 +43,7 @@ pub(crate) type DijkstraHeap = BinaryHeap<Reverse<(Cost, u32)>>;
 ///
 /// Node indices are assigned by the caller (the constellation assigns
 /// satellites first, then ground stations). The graph keeps a canonical
-/// sorted edge list alongside the CSR arrays; the edge list is what
-/// [`crate::engine::PathEngine`] diffs between timesteps.
+/// sorted edge list alongside the CSR arrays ([`NetworkGraph::edges`]).
 ///
 /// Besides the latency weight that drives the shortest-path computation,
 /// every edge carries the link's bandwidth (bits per second; `0` when the
@@ -56,7 +55,7 @@ pub(crate) type DijkstraHeap = BinaryHeap<Reverse<(Cost, u32)>>;
 /// Self-loops are rejected and parallel edges are collapsed to the cheaper
 /// one (ties keep the wider bandwidth), so `edge_count` and the CSR degrees
 /// always reflect the distinct node pairs actually connected.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetworkGraph {
     node_count: u32,
     /// Canonical edge list: `a < b`, sorted by `(a, b)`, no duplicates.
@@ -72,33 +71,6 @@ pub struct NetworkGraph {
     weights: Vec<Cost>,
     /// CSR edge bandwidths (bits per second), parallel to `targets`.
     bandwidths: Vec<u64>,
-}
-
-impl Clone for NetworkGraph {
-    fn clone(&self) -> Self {
-        NetworkGraph {
-            node_count: self.node_count,
-            edges: self.edges.clone(),
-            edge_bw: self.edge_bw.clone(),
-            offsets: self.offsets.clone(),
-            targets: self.targets.clone(),
-            weights: self.weights.clone(),
-            bandwidths: self.bandwidths.clone(),
-        }
-    }
-
-    /// Field-wise `clone_from` so a long-lived destination (the coordinator
-    /// database's cached state, a pipeline bundle) reuses its allocations
-    /// every timestep instead of re-allocating the CSR arrays.
-    fn clone_from(&mut self, source: &Self) {
-        self.node_count = source.node_count;
-        self.edges.clone_from(&source.edges);
-        self.edge_bw.clone_from(&source.edge_bw);
-        self.offsets.clone_from(&source.offsets);
-        self.targets.clone_from(&source.targets);
-        self.weights.clone_from(&source.weights);
-        self.bandwidths.clone_from(&source.bandwidths);
-    }
 }
 
 impl NetworkGraph {
@@ -537,31 +509,16 @@ impl NetworkGraph {
         paths
     }
 
-    /// Computes all-pairs shortest paths with the requested algorithm.
-    ///
-    /// This is the stateless entry point: [`PathAlgorithm::Auto`] picks by
-    /// graph size alone and [`PathAlgorithm::Incremental`] falls back to a
-    /// full per-source Dijkstra, because there is no previous timestep to
-    /// diff against here. The stateful driver that implements incremental
-    /// recomputation and parallelism is [`crate::engine::PathEngine`].
+    /// Computes all-pairs shortest paths with the requested algorithm. This
+    /// is the stateless entry point; the stateful parallel driver is
+    /// [`crate::engine::PathEngine`].
     pub fn shortest_paths(&self, algorithm: PathAlgorithm) -> ShortestPaths {
         match algorithm {
-            PathAlgorithm::Dijkstra | PathAlgorithm::Incremental => self.all_pairs_dijkstra(),
+            PathAlgorithm::Dijkstra => self.all_pairs_dijkstra(),
             PathAlgorithm::FloydWarshall => self.floyd_warshall(),
-            PathAlgorithm::Auto => {
-                if self.node_count() <= AUTO_FLOYD_WARSHALL_MAX_NODES {
-                    self.floyd_warshall()
-                } else {
-                    self.all_pairs_dijkstra()
-                }
-            }
         }
     }
 }
-
-/// Below this node count [`PathAlgorithm::Auto`] picks Floyd–Warshall: the
-/// cubic term is tiny and the dense sweep beats per-source heap overhead.
-pub const AUTO_FLOYD_WARSHALL_MAX_NODES: usize = 64;
 
 /// The shortest-path algorithm used for the all-pairs computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -572,26 +529,12 @@ pub enum PathAlgorithm {
     /// Floyd–Warshall: cubic in the node count, useful for small topologies
     /// and as a cross-check.
     FloydWarshall,
-    /// Re-solve only the sources whose shortest paths are affected by the
-    /// edge delta since the previous timestep, falling back to a full solve
-    /// when the delta is large. Only meaningful through
-    /// [`crate::engine::PathEngine`].
-    Incremental,
-    /// Select automatically: Floyd–Warshall for tiny graphs, incremental
-    /// recomputation when a previous solve is reusable, parallel per-source
-    /// Dijkstra otherwise.
-    Auto,
 }
 
 impl PathAlgorithm {
     /// Every algorithm, in documentation order — the single source of truth
     /// for configuration parsing and error messages.
-    pub const ALL: [PathAlgorithm; 4] = [
-        PathAlgorithm::Dijkstra,
-        PathAlgorithm::FloydWarshall,
-        PathAlgorithm::Incremental,
-        PathAlgorithm::Auto,
-    ];
+    pub const ALL: [PathAlgorithm; 2] = [PathAlgorithm::Dijkstra, PathAlgorithm::FloydWarshall];
 
     /// The configuration-file spelling of the algorithm (the value accepted
     /// by the `path-algorithm` TOML key; see `docs/PATHS.md`).
@@ -599,8 +542,6 @@ impl PathAlgorithm {
         match self {
             PathAlgorithm::Dijkstra => "dijkstra",
             PathAlgorithm::FloydWarshall => "floyd-warshall",
-            PathAlgorithm::Incremental => "incremental",
-            PathAlgorithm::Auto => "auto",
         }
     }
 }
@@ -612,7 +553,7 @@ impl PathAlgorithm {
 /// (the coordinator solves only ground stations and active satellites).
 /// `rows` maps a node id to its row index, [`NO_NODE`] marking unsolved
 /// sources.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShortestPaths {
     pub(crate) node_count: u32,
     /// Node id → row index, `NO_NODE` if the node was not solved as a source.
@@ -636,33 +577,6 @@ pub struct ShortestPaths {
     /// (bound [`UNREACHABLE`]) so that one-shot out-of-scope queries can use
     /// them as an ALT heuristic. Empty for unscoped solves.
     pub(crate) landmarks: Vec<u32>,
-}
-
-impl Clone for ShortestPaths {
-    fn clone(&self) -> Self {
-        ShortestPaths {
-            node_count: self.node_count,
-            rows: self.rows.clone(),
-            sources: self.sources.clone(),
-            dist: self.dist.clone(),
-            prev: self.prev.clone(),
-            exact_bounds: self.exact_bounds.clone(),
-            landmarks: self.landmarks.clone(),
-        }
-    }
-
-    /// Field-wise `clone_from` so that a long-lived destination (e.g. the
-    /// coordinator database's cached copy) reuses its allocations every
-    /// timestep instead of re-allocating the matrices.
-    fn clone_from(&mut self, source: &Self) {
-        self.node_count = source.node_count;
-        self.rows.clone_from(&source.rows);
-        self.sources.clone_from(&source.sources);
-        self.dist.clone_from(&source.dist);
-        self.prev.clone_from(&source.prev);
-        self.exact_bounds.clone_from(&source.exact_bounds);
-        self.landmarks.clone_from(&source.landmarks);
-    }
 }
 
 impl ShortestPaths {
@@ -1173,29 +1087,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_stateless_selection_by_size() {
-        let small = line_graph(5);
-        assert_eq!(
-            small.shortest_paths(PathAlgorithm::Auto),
-            small.floyd_warshall()
-        );
-        let big = line_graph(AUTO_FLOYD_WARSHALL_MAX_NODES + 1);
-        assert_eq!(
-            big.shortest_paths(PathAlgorithm::Auto),
-            big.all_pairs_dijkstra()
-        );
-        assert_eq!(
-            big.shortest_paths(PathAlgorithm::Incremental),
-            big.all_pairs_dijkstra()
-        );
-    }
-
-    #[test]
     fn algorithm_names_match_the_config_spellings() {
         assert_eq!(PathAlgorithm::Dijkstra.name(), "dijkstra");
         assert_eq!(PathAlgorithm::FloydWarshall.name(), "floyd-warshall");
-        assert_eq!(PathAlgorithm::Incremental.name(), "incremental");
-        assert_eq!(PathAlgorithm::Auto.name(), "auto");
     }
 
     /// A random connected graph: a spanning chain plus `extra` random edges.

@@ -647,6 +647,12 @@ impl TestbedConfig {
 
         if let Some(value) = table.get("path-algorithm") {
             let text = value.as_str();
+            if let Some(removed @ ("incremental" | "auto")) = text {
+                return Err(Error::config(format!(
+                    "path-algorithm {removed:?} was removed: the coordinator has solved scoped \
+                     rows since PR 9; use \"dijkstra\" or omit the key — see docs/PATHS.md"
+                )));
+            }
             config.path_algorithm = text
                 .and_then(|t| PathAlgorithm::ALL.iter().find(|a| a.name() == t).copied())
                 .ok_or_else(|| {
@@ -884,13 +890,16 @@ impl TestbedConfig {
             config.scenario = Some(ScenarioConfig { tenants, blocks });
         }
         if let Some(hosts) = table.get("host").and_then(|v| v.as_table_array()) {
+            let defaults = HostConfig::default();
             config.hosts = hosts
                 .iter()
-                .map(|h| HostConfig {
-                    cores: h.get_i64("cores").unwrap_or(32) as u32,
-                    memory_mib: h.get_i64("memory-mib").unwrap_or(32 * 1024) as u64,
+                .map(|h| {
+                    Ok(HostConfig {
+                        cores: host_size(h, "cores", defaults.cores)?,
+                        memory_mib: host_size(h, "memory-mib", defaults.memory_mib)?,
+                    })
                 })
-                .collect();
+                .collect::<Result<_>>()?;
         }
 
         config.validate()?;
@@ -1017,6 +1026,18 @@ fn parse_shell(table: &TomlTable) -> Result<Shell> {
     let memory = table.get_i64("memory-mib").unwrap_or(512) as u64;
     shell = shell.with_resources(MachineResources::new(vcpus, memory));
     Ok(shell)
+}
+
+/// One size of a `[[host]]` table: a positive integer that fits the field,
+/// or the default when the key is absent.
+fn host_size<T: TryFrom<i64>>(table: &TomlTable, key: &str, default: T) -> Result<T> {
+    match table.get_i64(key) {
+        None => Ok(default),
+        Some(value) => T::try_from(value)
+            .ok()
+            .filter(|_| value > 0)
+            .ok_or_else(|| Error::config(format!("host {key} must be at least 1, got {value}"))),
+    }
 }
 
 fn parse_scenario_block(table: &TomlTable) -> Result<ScenarioBlock> {
@@ -1316,18 +1337,18 @@ min-elevation-deg = 30.0
         assert!(TestbedConfig::from_toml("").is_err());
     }
 
+    /// How the two removed spellings parse now: to a pointed error.
     #[test]
     fn incremental_and_auto_path_algorithms_parse() {
-        for (text, expected) in [
-            ("incremental", PathAlgorithm::Incremental),
-            ("auto", PathAlgorithm::Auto),
-        ] {
+        for text in ["incremental", "auto"] {
             let toml = format!(
                 "path-algorithm = \"{text}\"\n[[shell]]\naltitude-km = 550.0\n\
                  inclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 2"
             );
-            let config = TestbedConfig::from_toml(&toml).expect("valid config");
-            assert_eq!(config.path_algorithm, expected);
+            let message = TestbedConfig::from_toml(&toml).unwrap_err().to_string();
+            assert!(message.contains(text) && message.contains("removed"), "{message}");
+            assert!(message.contains("docs/PATHS.md"), "{message}");
+            assert!(!message.contains("unknown path-algorithm"), "{message}");
         }
     }
 
@@ -1450,6 +1471,18 @@ min-elevation-deg = 30.0
             .hosts(Vec::new())
             .build();
         assert!(result.is_err());
+        // Host sizes are outside input: a negative one must not wrap into
+        // billions of cores or exbibytes of memory.
+        for key in ["cores", "memory-mib"] {
+            for value in [-1, 0] {
+                let toml = format!(
+                    "[[host]]\n{key} = {value}\n[[shell]]\naltitude-km = 550.0\n\
+                     inclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 2"
+                );
+                let message = TestbedConfig::from_toml(&toml).unwrap_err().to_string();
+                assert!(message.contains(key), "{key} = {value}: {message}");
+            }
+        }
     }
 
     #[test]

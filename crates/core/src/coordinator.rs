@@ -62,7 +62,6 @@ pub struct Coordinator {
     lanes: Vec<TenantLane>,
     /// The host-sharding plan, when the programme is partitioned per host.
     shard_plan: Option<ShardPlan>,
-    last_solve: SolveStats,
     updates: u64,
     /// When enabled, every update publishes an immutable snapshot of the
     /// database here for the lock-free serving plane (see `docs/SERVE.md`).
@@ -183,7 +182,6 @@ impl Coordinator {
             pipeline,
             lanes,
             shard_plan,
-            last_solve: SolveStats::default(),
             updates: 0,
             snapshots: None,
         }
@@ -308,11 +306,10 @@ impl Coordinator {
     pub fn update(&mut self, t_seconds: f64) -> Result<ConstellationDiff> {
         let mut bundle = self.pipeline.advance(t_seconds)?;
 
-        // Install the shared state and path matrix into the database's
-        // retained buffers — once, no matter how many tenants: no allocation
-        // in steady state.
-        self.database.update_from(&bundle.shared.state);
-        self.database.set_paths_from(&bundle.shared.paths);
+        // Install the shared core — one `Arc` bump, no matter how large the
+        // path matrix or how many tenants — and take back the core it
+        // retires, for the bundle this update recycles.
+        let retired = self.database.install(Arc::clone(&bundle.shared));
 
         // Per tenant: replay the delta onto the lane's full-programme
         // mirror, retain the change sets, refresh the `/info` slice.
@@ -343,7 +340,6 @@ impl Coordinator {
         if self.shard_plan.is_some() {
             self.database.set_shard_pairs(&solo.shard_pairs);
         }
-        self.last_solve = bundle.shared.solve;
         self.updates += 1;
         self.database.set_programme_stats(ProgrammeStats {
             epoch: solo.programme_epoch,
@@ -359,17 +355,23 @@ impl Coordinator {
             store.publish(self.updates, &self.database);
         }
 
-        let shared = Arc::get_mut(&mut bundle.shared)
-            .expect("bundle cores are uniquely owned until handover");
-        let diff = std::mem::take(&mut shared.diff);
+        let diff = std::mem::take(&mut bundle.diff);
+        // The core just installed stays with the database and the snapshot;
+        // the bundle goes back carrying the retired one, whose buffers the
+        // next computation swaps its result into. After the very first
+        // update there is none, and the bundle returns still sharing the
+        // live core — the pipeline then mints a fresh one.
+        if let Some(retired) = retired {
+            bundle.shared = retired;
+        }
         self.pipeline.recycle(bundle);
         Ok(diff)
     }
 
     /// Statistics about the most recent shortest-path solve (how many source
-    /// rows were re-solved vs. reused incrementally).
+    /// rows it ran, and what the scope bounded them to).
     pub fn last_path_solve(&self) -> SolveStats {
-        self.last_solve
+        self.database.shared().map(|shared| shared.solve).unwrap_or_default()
     }
 
     /// The first tenant's change set produced by the most recent update:
@@ -456,15 +458,18 @@ mod tests {
     use celestial_types::geo::Geodetic;
     use celestial_types::Bandwidth;
 
-    fn coordinator() -> Coordinator {
-        let constellation = Constellation::builder()
+    fn constellation() -> Constellation {
+        Constellation::builder()
             .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 12, 16)))
             .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
             .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
             .bounding_box(BoundingBox::west_africa())
             .build()
-            .unwrap();
-        Coordinator::new(constellation, SimDuration::from_secs(2))
+            .unwrap()
+    }
+
+    fn coordinator() -> Coordinator {
+        Coordinator::new(constellation(), SimDuration::from_secs(2))
     }
 
     #[test]
@@ -588,6 +593,34 @@ mod tests {
         let paths = c.database().paths().expect("paths installed");
         assert_eq!(paths.source_count(), stats.solved_sources);
         assert!(paths.is_solved(state.node_count() - 1), "ground station solved");
+    }
+
+    #[test]
+    fn database_and_snapshot_share_the_one_core_and_retired_cores_come_back() {
+        for mode in PipelineMode::ALL {
+            let mut c = Coordinator::with_mode(constellation(), SimDuration::from_secs(2), mode);
+            let store = c.enable_snapshots();
+            let mut cores = Vec::new();
+            for step in 0..8 {
+                c.update(step as f64 * 2.0).unwrap();
+                let live = c.database().shared().expect("installed");
+                let snapshot = store.load();
+                let published = snapshot.database.shared().expect("published with its core");
+                assert!(Arc::ptr_eq(live, published), "{mode:?}: snapshot copied the core");
+                assert_eq!(live.t_seconds, step as f64 * 2.0);
+                cores.push(Arc::as_ptr(live));
+                drop(snapshot);
+                if step >= 2 {
+                    // Database and published snapshot — nobody else: the
+                    // recycled bundle went back with the retired core.
+                    assert_eq!(Arc::strong_count(live), 2, "{mode:?} step {step}");
+                }
+            }
+            // Retired cores return to the pipeline and are written again: a
+            // handful of allocations rotate, none is minted per epoch.
+            let distinct: std::collections::BTreeSet<_> = cores.iter().collect();
+            assert!(distinct.len() <= 4, "{mode:?}: {} cores for 8 epochs", distinct.len());
+        }
     }
 
     #[test]

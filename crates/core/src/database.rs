@@ -5,11 +5,12 @@
 //! Calculation on every tick; the per-host HTTP servers answer application
 //! queries from it (§3.2). [`InfoDatabase`] is that database.
 
-use crate::pipeline::{PipelineStats, ScopeReport};
+use crate::pipeline::{PipelineStats, ScopeReport, SharedEpoch};
 use celestial_constellation::{ConstellationState, GroundStation, Shell, ShortestPaths};
 use celestial_types::geo::Geodetic;
 use celestial_types::ids::{GroundStationId, NodeId, SatelliteId};
 use celestial_types::{Error, Latency, Result};
+use std::sync::Arc;
 
 /// Summary of the most recent network-programming epoch, recorded by the
 /// coordinator and surfaced through the `/info` route (real Celestial logs
@@ -77,16 +78,17 @@ pub struct TenantReport {
 }
 
 /// The central database behind the info API.
+///
+/// The dynamic half — constellation state and path matrix — is not stored
+/// here but *shared*: the database holds the epoch's [`SharedEpoch`] core by
+/// `Arc`, so cloning a database (what publishing a snapshot does) copies the
+/// static configuration and the small report structs and bumps one
+/// reference count.
 #[derive(Debug, Clone)]
 pub struct InfoDatabase {
     shells: Vec<Shell>,
     ground_stations: Vec<GroundStation>,
-    state: Option<ConstellationState>,
-    paths: Option<ShortestPaths>,
-    /// Whether `paths` matches the current `state`. The buffer itself is
-    /// kept across updates so that [`InfoDatabase::set_paths_from`] can
-    /// refill it without re-allocating.
-    paths_valid: bool,
+    shared: Option<Arc<SharedEpoch>>,
     programme_stats: Option<ProgrammeStats>,
     pipeline_report: Option<PipelineReport>,
     scope_report: Option<ScopeReport>,
@@ -103,9 +105,7 @@ impl InfoDatabase {
         InfoDatabase {
             shells,
             ground_stations,
-            state: None,
-            paths: None,
-            paths_valid: false,
+            shared: None,
             programme_stats: None,
             pipeline_report: None,
             scope_report: None,
@@ -115,54 +115,30 @@ impl InfoDatabase {
         }
     }
 
-    /// Replaces the dynamic state after a constellation update. Any cached
-    /// shortest-path result is invalidated until [`InfoDatabase::set_paths`]
-    /// or [`InfoDatabase::set_paths_from`] installs the one matching this
-    /// state.
-    pub fn update(&mut self, state: ConstellationState) {
-        self.state = Some(state);
-        self.paths_valid = false;
+    /// Installs the epoch the database answers from — its constellation
+    /// state and the path matrix solved for it, as one shared core — and
+    /// returns the core it replaces, so the caller can hand that one's
+    /// buffers back to the epoch pipeline.
+    pub fn install(&mut self, shared: Arc<SharedEpoch>) -> Option<Arc<SharedEpoch>> {
+        self.shared.replace(shared)
     }
 
-    /// Like [`InfoDatabase::update`], but copies into the retained state of
-    /// the previous timestep — after the first update this allocates nothing
-    /// in steady state (the path the epoch pipeline's handover uses).
-    pub fn update_from(&mut self, state: &ConstellationState) {
-        match &mut self.state {
-            Some(existing) => existing.clone_from(state),
-            None => self.state = Some(state.clone()),
-        }
-        self.paths_valid = false;
+    /// Lets go of the installed epoch: a snapshot waiting in the store's
+    /// pool must not keep a core from returning to the pipeline.
+    pub(crate) fn release_shared(&mut self) {
+        self.shared = None;
     }
 
-    /// Installs the precomputed shortest-path result for the current state
-    /// (produced by the coordinator's `PathEngine`); `/path` queries whose
-    /// source row was solved are answered from it without touching the
-    /// graph.
-    pub fn set_paths(&mut self, paths: ShortestPaths) {
-        self.paths = Some(paths);
-        self.paths_valid = true;
+    /// The installed epoch core, if an update has happened.
+    pub fn shared(&self) -> Option<&Arc<SharedEpoch>> {
+        self.shared.as_ref()
     }
 
-    /// Like [`InfoDatabase::set_paths`], but copies into the retained buffer
-    /// of the previous timestep — after the first update this allocates
-    /// nothing in steady state.
-    pub fn set_paths_from(&mut self, paths: &ShortestPaths) {
-        match &mut self.paths {
-            Some(existing) => existing.clone_from(paths),
-            None => self.paths = Some(paths.clone()),
-        }
-        self.paths_valid = true;
-    }
-
-    /// The precomputed shortest-path result, if one matching the current
-    /// state is installed.
+    /// The precomputed shortest-path result of the installed epoch; `/path`
+    /// queries whose source row was solved are answered from it without
+    /// touching the graph.
     pub fn paths(&self) -> Option<&ShortestPaths> {
-        if self.paths_valid {
-            self.paths.as_ref()
-        } else {
-            None
-        }
+        self.shared.as_deref().map(|shared| &shared.paths)
     }
 
     /// Records the network-programming summary of the latest update.
@@ -259,12 +235,12 @@ impl InfoDatabase {
 
     /// The latest constellation state, if an update has happened.
     pub fn state(&self) -> Option<&ConstellationState> {
-        self.state.as_ref()
+        self.shared.as_deref().map(|shared| &shared.state)
     }
 
     /// The simulated time of the latest update, in seconds.
     pub fn updated_at_seconds(&self) -> Option<f64> {
-        self.state.as_ref().map(|s| s.time_seconds)
+        self.state().map(|s| s.time_seconds)
     }
 
     /// The static shell configuration.
@@ -287,8 +263,7 @@ impl InfoDatabase {
     }
 
     fn require_state(&self) -> Result<&ConstellationState> {
-        self.state
-            .as_ref()
+        self.state()
             .ok_or_else(|| Error::InfoApi("no constellation update has happened yet".to_owned()))
     }
 
@@ -412,7 +387,7 @@ mod tests {
             .build()
             .unwrap();
         let mut db = InfoDatabase::new(vec![shell], vec![gst]);
-        db.update(constellation.state_at(0.0).unwrap());
+        db.install(SharedEpoch::for_tests(constellation.state_at(0.0).unwrap(), &[]));
         db
     }
 
@@ -461,11 +436,8 @@ mod tests {
         // Solve only the ground station's row, as the coordinator does for
         // its restricted source set.
         let gst_index = state.satellite_count() as u32;
-        let mut engine =
-            celestial_constellation::PathEngine::new(celestial_constellation::PathAlgorithm::Dijkstra);
-        let paths = engine.solve_sources(state.graph(), &[gst_index]).clone();
-        db.set_paths(paths);
-        assert!(db.paths().is_some());
+        let unsolved = db.install(SharedEpoch::for_tests(state, &[gst_index]));
+        assert!(db.paths().is_some_and(|paths| paths.is_solved(gst_index as usize)));
 
         let visible = db.visible_satellites(GroundStationId(0)).unwrap();
         let sat = NodeId::Satellite(visible[0]);
@@ -479,9 +451,11 @@ mod tests {
         let path = db.path(gst, sat).unwrap().expect("connected");
         assert_eq!(path.first(), Some(&gst));
         assert_eq!(path.last(), Some(&sat));
-        // A fresh state update invalidates the cached matrix.
-        db.update(state);
-        assert!(db.paths().is_none());
+        // State and matrix are installed as one core: putting the earlier
+        // one back hands out the one it replaces, and the matrix follows.
+        let solved = db.install(unsolved.expect("the first core comes back")).unwrap();
+        assert!(solved.paths.is_solved(gst_index as usize));
+        assert!(!db.paths().unwrap().is_solved(gst_index as usize));
     }
 
     #[test]

@@ -306,7 +306,10 @@ mod tests {
             .build()
             .unwrap();
         let mut db = InfoDatabase::new(vec![shell], vec![gst]);
-        db.update(constellation.state_at(0.0).unwrap());
+        db.install(crate::pipeline::SharedEpoch::for_tests(
+            constellation.state_at(0.0).unwrap(),
+            &[],
+        ));
         db
     }
 

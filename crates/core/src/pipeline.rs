@@ -13,11 +13,13 @@
 //!   deterministic function of the sequence of epoch times it is fed.
 //! * [`EpochBundle`] is the handover unit: an [`Arc`]-shared immutable
 //!   [`SharedEpoch`] core (epoch time, constellation state, path matrix,
-//!   machine diff, solve stats — computed **once**) plus one [`TenantEpoch`]
-//!   per tenant (programme delta, per-host partition, programme counters)
-//!   fanned out from the same solve. Bundles are recycled between the
-//!   producer and the consumer, so the steady state moves epochs without
-//!   allocating.
+//!   solve stats — computed **once** and never copied: the computation's
+//!   result buffers are *swapped* into the core, and the database and every
+//!   snapshot hold the same `Arc`), the per-handover machine diff and
+//!   timings beside it, plus one [`TenantEpoch`] per tenant (programme
+//!   delta, per-host partition, programme counters) fanned out from the
+//!   same solve. Bundles are recycled between the producer and the
+//!   consumer, so the steady state moves epochs without allocating.
 //! * [`EpochPipeline`] owns the policy: in [`PipelineMode::Synchronous`]
 //!   every epoch is computed inline at the boundary (the seed behaviour); in
 //!   [`PipelineMode::Pipelined`] a background worker thread precomputes the
@@ -51,8 +53,8 @@
 use crate::netprog::ProgrammeStore;
 use celestial_constellation::snapshot::{LinkProperties, MachineActivity};
 use celestial_constellation::{
-    Constellation, ConstellationDiff, ConstellationSnapshot, ConstellationState, PathAlgorithm,
-    PathEngine, ScopeParams, ShortestPaths, SolveKind, SolveScope, SolveStats, StateBuffers,
+    Constellation, ConstellationDiff, ConstellationSnapshot, ConstellationState, PathEngine,
+    ScopeParams, ShortestPaths, SolveKind, SolveScope, SolveStats, StateBuffers,
 };
 use celestial_netem::{PairProgram, ProgrammeDelta, ShardPlan};
 use celestial_types::ids::{NodeId, TenantId};
@@ -120,8 +122,8 @@ pub struct PipelineStats {
 }
 
 /// Summary of the scale-aware solve scope of one epoch, surfaced through
-/// the `/info` route (`scope*` fields). All zeros when the epoch ran an
-/// unscoped solve (e.g. the incremental algorithm). See `docs/MEGASCALE.md`.
+/// the `/info` route (`scope*` fields). All zeros when the solve was not
+/// scoped (the Floyd–Warshall reference sweep). See `docs/MEGASCALE.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScopeReport {
     /// Satellites inside the (unexpanded) bounding box this epoch — the
@@ -145,10 +147,12 @@ pub struct ScopeReport {
     pub settled: u64,
 }
 
-/// The immutable tenant-shared half of one epoch: everything that is a
-/// function of the constellation alone, computed **once** per epoch no
-/// matter how many tenants the pipeline serves, and shared behind an [`Arc`]
-/// so per-tenant snapshot views are reference-counted, not copied.
+/// The immutable tenant-shared half of one epoch: everything readers read
+/// that is a function of the constellation alone, computed **once** per
+/// epoch no matter how many tenants the pipeline serves. It exists once,
+/// too: the bundle, the [`crate::InfoDatabase`] and every published
+/// snapshot hold the same [`Arc`] (see the ownership diagram in
+/// `docs/PIPELINE.md`).
 #[derive(Debug, Clone)]
 pub struct SharedEpoch {
     /// The epoch time in simulated seconds.
@@ -157,17 +161,27 @@ pub struct SharedEpoch {
     pub state: ConstellationState,
     /// The solved path matrix (ground stations + active satellites rows).
     pub paths: ShortestPaths,
-    /// The machine/link change set relative to the previous epoch.
-    pub diff: ConstellationDiff,
     /// How the path solve was executed.
     pub solve: SolveStats,
     /// The solve scope of this epoch (all zeros for unscoped solves).
     pub scope: ScopeReport,
-    /// Wall-clock nanoseconds the computation took (shared solve plus all
-    /// tenant programme walks).
-    pub compute_ns: u64,
-    /// When the computation finished (drives the precompute-lead statistic).
-    finished_at: Instant,
+}
+
+#[cfg(test)]
+impl SharedEpoch {
+    /// A core around `state` with the rows of `sources` solved, as unit
+    /// tests of the database and the info API install it.
+    pub(crate) fn for_tests(state: ConstellationState, sources: &[u32]) -> Arc<Self> {
+        let mut engine = PathEngine::new(state.path_algorithm());
+        let paths = engine.solve_sources(state.graph(), sources).clone();
+        Arc::new(SharedEpoch {
+            t_seconds: state.time_seconds,
+            state,
+            paths,
+            solve: engine.last_solve(),
+            scope: ScopeReport::default(),
+        })
+    }
 }
 
 /// The per-tenant half of one epoch: the network-programme change set the
@@ -190,18 +204,27 @@ pub struct TenantEpoch {
     pub programme_pairs: usize,
 }
 
-/// One epoch's complete handover unit: the [`Arc`]-shared immutable core
-/// plus one [`TenantEpoch`] per tenant, produced by [`EpochCompute`] and
-/// recycled between producer and consumer so the steady state allocates
-/// nothing.
+/// One epoch's complete handover unit: the [`Arc`]-shared immutable core,
+/// what belongs to this one handover only (machine diff, timings), plus one
+/// [`TenantEpoch`] per tenant, produced by [`EpochCompute`] and recycled
+/// between producer and consumer so the steady state allocates nothing.
 ///
 /// Bundles handed out by the pipeline always hold the *only* strong
-/// reference to their core — recycling reuses it via [`Arc::get_mut`] and
-/// mints a fresh core only when a consumer kept a clone of the `Arc` alive.
+/// reference to their core. The consumer shares that `Arc` with its readers
+/// and recycles the bundle with whichever core it has retired; recycling
+/// reuses a core in place via [`Arc::get_mut`] and mints a fresh one only
+/// when somebody still holds the one that came back.
 #[derive(Debug)]
 pub struct EpochBundle {
     /// The tenant-shared immutable core of the epoch.
     pub shared: Arc<SharedEpoch>,
+    /// The machine/link change set relative to the previous epoch.
+    pub diff: ConstellationDiff,
+    /// Wall-clock nanoseconds the computation took (shared solve plus all
+    /// tenant programme walks).
+    pub compute_ns: u64,
+    /// When the computation finished (drives the precompute-lead statistic).
+    finished_at: Instant,
     /// One programme change set per tenant, indexed by [`TenantId`].
     pub tenants: Vec<TenantEpoch>,
 }
@@ -234,9 +257,9 @@ impl EpochBundle {
 }
 
 /// The deterministic epoch computation: constellation state, path solve and
-/// programme delta, with all epoch-to-epoch caches (previous snapshot,
-/// incremental path engine, retained programme) owned here so the whole
-/// computation can move onto a background worker thread.
+/// programme delta, with all epoch-to-epoch caches (previous snapshot, path
+/// engine, retained programme) owned here so the whole computation can move
+/// onto a background worker thread.
 #[derive(Debug)]
 pub struct EpochCompute {
     constellation: Constellation,
@@ -384,17 +407,10 @@ impl EpochCompute {
         // bounding box (margin-expanded, plus per-ground-station
         // neighbourhoods and ALT landmarks) and run bounded rows that are
         // bit-identical to full rows on every programme source — the
-        // property-tested exactness contract (`docs/MEGASCALE.md`). The
-        // incremental algorithm keeps the full solve: its row reuse across
-        // epochs is incompatible with bounded rows.
-        if self.constellation.path_algorithm() == PathAlgorithm::Incremental {
-            self.engine.solve_sources(state.graph(), &self.sources);
-        } else {
-            let bounding_box = self.constellation.bounding_box();
-            self.scope.derive(state, &bounding_box, &self.scope_params);
-            self.engine.solve_scope(state.graph(), &self.scope);
-        }
-        let paths = self.engine.paths().expect("paths were just solved");
+        // property-tested exactness contract (`docs/MEGASCALE.md`).
+        let bounding_box = self.constellation.bounding_box();
+        self.scope.derive(state, &bounding_box, &self.scope_params);
+        let paths = self.engine.solve_scope(state.graph(), &self.scope);
         // The fan-out: everything above ran once; each tenant's programme
         // walk reads the same state and path matrix.
         for store in &mut self.tenants {
@@ -403,12 +419,13 @@ impl EpochCompute {
         Ok(diff)
     }
 
-    /// The state of the most recent successful epoch.
+    /// The state of the most recent successful [`EpochCompute::compute`].
     pub fn state(&self) -> Option<&ConstellationState> {
         self.buffers.state()
     }
 
-    /// The path matrix of the most recent successful epoch.
+    /// The path matrix of the most recent successful
+    /// [`EpochCompute::compute`].
     pub fn paths(&self) -> Option<&ShortestPaths> {
         self.engine.paths()
     }
@@ -456,9 +473,16 @@ impl EpochCompute {
 
     /// Computes one epoch and packages the results into a (possibly
     /// recycled) bundle. The returned bundle always holds the only strong
-    /// reference to its shared core: recycling reuses the core in place via
-    /// [`Arc::get_mut`] and falls back to a fresh core only when a consumer
-    /// kept a clone of the `Arc` alive.
+    /// reference to its shared core.
+    ///
+    /// A recycled core nobody else holds any more takes the result by
+    /// *swap*: the state and path matrix just computed move into the core,
+    /// and the core's old buffers become the ones the next epoch overwrites
+    /// — nothing is copied. Only when there is no such core (the first
+    /// epochs, or a straggling reader still holds the one that came back)
+    /// is a fresh one minted from a copy. Either way
+    /// [`EpochCompute::state`] and [`EpochCompute::paths`] must not be read
+    /// after bundling.
     fn compute_bundle(
         &mut self,
         t_seconds: f64,
@@ -467,52 +491,39 @@ impl EpochCompute {
         let started = Instant::now();
         let diff = self.compute(t_seconds)?;
         let compute_ns = started.elapsed().as_nanos() as u64;
-        let state = self.state().expect("state was just computed");
-        let paths = self.paths().expect("paths were just solved");
         let solve = self.last_solve();
         let scope = self.scope_report();
+        let mint = |compute: &Self| {
+            Arc::new(SharedEpoch {
+                t_seconds,
+                state: compute.state().expect("state was just computed").clone(),
+                paths: compute.paths().expect("paths were just solved").clone(),
+                solve,
+                scope,
+            })
+        };
         let mut bundle = match recycled {
             Some(mut bundle) => {
                 match Arc::get_mut(&mut bundle.shared) {
                     Some(shared) => {
                         shared.t_seconds = t_seconds;
-                        shared.state.clone_from(state);
-                        shared.paths.clone_from(paths);
-                        shared.diff = diff;
+                        self.buffers.swap_state(&mut shared.state);
+                        self.engine.swap_paths(&mut shared.paths);
                         shared.solve = solve;
                         shared.scope = scope;
-                        shared.compute_ns = compute_ns;
-                        shared.finished_at = Instant::now();
                     }
-                    // A consumer still holds a view of the recycled core
-                    // (e.g. a retained snapshot): mint a fresh one so the
-                    // uniqueness invariant is re-established.
-                    None => {
-                        bundle.shared = Arc::new(SharedEpoch {
-                            t_seconds,
-                            state: state.clone(),
-                            paths: paths.clone(),
-                            diff,
-                            solve,
-                            scope,
-                            compute_ns,
-                            finished_at: Instant::now(),
-                        });
-                    }
+                    None => bundle.shared = mint(self),
                 }
+                bundle.diff = diff;
+                bundle.compute_ns = compute_ns;
+                bundle.finished_at = Instant::now();
                 bundle
             }
             None => Box::new(EpochBundle {
-                shared: Arc::new(SharedEpoch {
-                    t_seconds,
-                    state: state.clone(),
-                    paths: paths.clone(),
-                    diff,
-                    solve,
-                    scope,
-                    compute_ns,
-                    finished_at: Instant::now(),
-                }),
+                shared: mint(self),
+                diff,
+                compute_ns,
+                finished_at: Instant::now(),
                 tenants: Vec::new(),
             }),
         };
@@ -728,7 +739,7 @@ impl EpochPipeline {
         // meaningful for precomputed handovers; inline computes finish the
         // moment the wait ends.
         let lead_ns = if precomputed {
-            (bundle.shared.finished_at.elapsed().as_nanos() as u64).saturating_sub(wait_ns)
+            (bundle.finished_at.elapsed().as_nanos() as u64).saturating_sub(wait_ns)
         } else {
             0
         };
@@ -794,14 +805,8 @@ fn recv_bundle(
 /// programme delta — are the composition of both.
 fn compose_bundles(first: Box<EpochBundle>, second: Box<EpochBundle>) -> Box<EpochBundle> {
     let mut bundle = second;
-    {
-        // Both bundles come straight from `compute_bundle`, whose contract
-        // guarantees a uniquely owned core.
-        let shared = Arc::get_mut(&mut bundle.shared)
-            .expect("bundle cores are uniquely owned until handover");
-        shared.diff = compose_diffs(&first.shared.diff, &shared.diff);
-        shared.compute_ns += first.shared.compute_ns;
-    }
+    bundle.diff = compose_diffs(&first.diff, &bundle.diff);
+    bundle.compute_ns += first.compute_ns;
     // Tenant change sets compose pairwise: both bundles come from the same
     // computation, so the tenant vectors (and each tenant's host vector)
     // always have the same length.
@@ -1034,7 +1039,7 @@ mod tests {
             assert_eq!(a.t_seconds(), b.t_seconds(), "epoch {epoch}");
             assert_eq!(a.shared.state, b.shared.state, "state diverged at epoch {epoch}");
             assert_eq!(a.shared.paths, b.shared.paths, "paths diverged at epoch {epoch}");
-            assert_eq!(a.shared.diff, b.shared.diff, "diff diverged at epoch {epoch}");
+            assert_eq!(a.diff, b.diff, "diff diverged at epoch {epoch}");
             assert_eq!(a.solo().delta, b.solo().delta, "delta diverged at epoch {epoch}");
             assert_eq!(a.shared.solve, b.shared.solve, "solve stats diverged at epoch {epoch}");
             assert_eq!(a.solo().programme_epoch, b.solo().programme_epoch);

@@ -4,15 +4,18 @@
 //! take the coordinator's lock: a slow `/path` query must not delay the
 //! epoch boundary, and an epoch handover must not stall readers. The
 //! [`SnapshotStore`] provides that seam. At each pipeline handover the
-//! coordinator publishes an immutable [`EpochSnapshot`] — the database
-//! (state + path matrix) as of one epoch — behind an `Arc`. Readers hold a
+//! coordinator publishes an immutable [`EpochSnapshot`] — the database as of
+//! one epoch, sharing the epoch's state + path matrix core with the
+//! coordinator by reference count — behind an `Arc`. Readers hold a
 //! [`SnapshotReader`] that caches the `Arc` and refreshes it only when the
 //! store's epoch counter (a single atomic) has advanced, so the steady-state
 //! read path is one relaxed atomic load and no lock.
 //!
-//! The store recycles retired snapshots: when the previous epoch's `Arc` has
-//! no readers left, its buffers are reused for the next publish via
-//! `clone_from` — after warm-up, publishing allocates nothing.
+//! Publishing never copies the epoch's data, and a snapshot only pins its
+//! epoch core while somebody can still read it: a retired snapshot with no
+//! readers left lets go of the core before it is pooled for reuse, so the
+//! core returns to the epoch pipeline; one a straggling reader still holds
+//! keeps its core alive for exactly as long as that reader does.
 
 use crate::database::InfoDatabase;
 use celestial_types::ids::TenantId;
@@ -98,9 +101,10 @@ impl SnapshotStore {
     /// cached `Arc`) or pick up the new one; never a mix.
     ///
     /// Runs on the coordinator's thread at the epoch boundary. The cost is
-    /// one `clone_from` of the database into a spare (or, before the pool
-    /// warms up, one clone) plus two short mutex sections no reader ever
-    /// contends in steady state.
+    /// one clone of the database — the static configuration, the report
+    /// structs and a reference-count bump on the epoch core, never the
+    /// state or the path matrix — plus two short mutex sections no reader
+    /// ever contends in steady state.
     pub fn publish(&self, epoch: u64, database: &InfoDatabase) {
         let fresh = match self.take_spare() {
             Some(mut spare) => {
@@ -160,10 +164,12 @@ impl SnapshotStore {
         self.spare.lock().expect("snapshot spare lock poisoned").pop()
     }
 
-    /// Pools `retired` for reuse if no reader still holds it; drops it
-    /// otherwise (the last reader's drop frees it).
-    fn offer_spare(&self, retired: Arc<EpochSnapshot>) {
-        if Arc::strong_count(&retired) == 1 {
+    /// Pools `retired` for reuse if no reader still holds it — without its
+    /// epoch core, which goes back to the pipeline; drops it otherwise (the
+    /// last reader's drop frees it, and the core with it).
+    fn offer_spare(&self, mut retired: Arc<EpochSnapshot>) {
+        if let Some(inner) = Arc::get_mut(&mut retired) {
+            inner.database.release_shared();
             let mut spare = self.spare.lock().expect("snapshot spare lock poisoned");
             // Two spares cover the publish/retire rhythm even with a
             // straggling reader; more would be dead weight.

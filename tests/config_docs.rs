@@ -188,6 +188,44 @@ fn the_documented_scenario_defaults_match_the_code() {
     assert_eq!(config, back);
 }
 
+/// The path-engine guide, whose configuration example and algorithm table
+/// name the accepted `path-algorithm` values.
+const PATHS_DOC: &str = include_str!("../docs/PATHS.md");
+
+#[test]
+fn the_documented_path_algorithms_are_exactly_the_accepted_ones() {
+    let shell = "[[shell]]\naltitude-km = 550.0\ninclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 2\n";
+    let row = CONFIG_DOC
+        .lines()
+        .find(|line| line.starts_with("| `path-algorithm`"))
+        .expect("docs/CONFIG.md documents path-algorithm");
+    for algorithm in PathAlgorithm::ALL {
+        let quoted = format!("`\"{}\"`", algorithm.name());
+        assert!(row.contains(&quoted), "CONFIG.md does not list {quoted}");
+        assert!(
+            PATHS_DOC.contains(&format!("| `{}` |", algorithm.name())),
+            "PATHS.md's algorithm table does not list {}",
+            algorithm.name()
+        );
+        let toml = format!("path-algorithm = \"{}\"\n{shell}", algorithm.name());
+        let config = TestbedConfig::from_toml(&toml).expect("documented value parses");
+        assert_eq!(config.path_algorithm, algorithm);
+    }
+    // Both pages say what happened to the two removed values, and neither
+    // page's table or example offers them any more.
+    for removed in ["incremental", "auto"] {
+        assert!(row.contains(&format!("`\"{removed}\"`")) && row.contains("removed"));
+        assert!(!PATHS_DOC.contains(&format!("| `{removed}` |")));
+        let toml = format!("path-algorithm = \"{removed}\"\n{shell}");
+        assert!(TestbedConfig::from_toml(&toml).is_err(), "{removed} still parses");
+    }
+    let start = PATHS_DOC.find("```toml\n").expect("PATHS.md has a toml example") + 8;
+    let end = PATHS_DOC[start..].find("```").expect("fence closed") + start;
+    let config = TestbedConfig::from_toml(&format!("{}{shell}", &PATHS_DOC[start..end]))
+        .expect("the PATHS.md example parses");
+    assert_eq!(config.path_algorithm, PathAlgorithm::Dijkstra);
+}
+
 #[test]
 fn defaults_listed_in_the_documentation_hold() {
     let minimal = "\n[[shell]]\naltitude-km = 550.0\ninclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 2\n";

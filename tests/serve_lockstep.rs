@@ -151,3 +151,54 @@ fn hammering_readers_never_observe_a_torn_epoch() {
     );
     assert_eq!(coordinator.update_count(), u64::from(EPOCHS));
 }
+
+/// A reader that never lets go of an old snapshot pins that epoch's core —
+/// and nothing else. Across four further updates it keeps reading
+/// byte-identical epoch-N answers, no update blocks or panics on the core
+/// that fails to come back (the pipeline mints a fresh one), and every later
+/// epoch equals a straggler-free run, in both pipeline modes.
+#[test]
+fn a_straggling_reader_keeps_its_epoch_and_stalls_nobody() {
+    const ROUTES: [&str; 3] = ["/self", "/path/0.gst/1.gst", "/path/accra.gst/0.0"];
+    let requester = celestial_types::ids::NodeId::ground_station(0);
+    let answers = |database: &celestial::InfoDatabase| -> Vec<String> {
+        ROUTES
+            .iter()
+            .map(|route| {
+                let body = celestial::info_api::InfoApi::new(database)
+                    .handle_path(requester, route)
+                    .expect("route answers");
+                serde_json::to_string(&body).expect("serializable")
+            })
+            .collect()
+    };
+    let interval = SimDuration::from_secs(1);
+    for mode in PipelineMode::ALL {
+        let mut reference = Coordinator::new(serve_constellation(), interval);
+        let mut coordinator = Coordinator::with_mode(serve_constellation(), interval, mode);
+        let store = coordinator.enable_snapshots();
+        for epoch in 0..3u32 {
+            reference.update(f64::from(epoch)).expect("reference update");
+            coordinator.update(f64::from(epoch)).expect("update");
+        }
+        let held = store.load();
+        assert_eq!(held.epoch, 3);
+        let held_answers = answers(&held.database);
+        assert_eq!(held_answers, answers(reference.database()));
+
+        for epoch in 3..7u32 {
+            reference.update(f64::from(epoch)).expect("reference update");
+            coordinator.update(f64::from(epoch)).expect("update with a straggler");
+            let current = store.load();
+            assert_eq!(current.epoch, u64::from(epoch) + 1);
+            assert_eq!(current.database.state(), reference.database().state(), "{mode:?} epoch {epoch}");
+            assert_eq!(current.database.paths(), reference.database().paths(), "{mode:?} epoch {epoch}");
+            assert_eq!(coordinator.programme_delta(), reference.programme_delta());
+            assert_eq!(answers(&current.database), answers(reference.database()));
+            assert_eq!(answers(&held.database), held_answers, "{mode:?}: epoch 3 changed under its reader");
+        }
+        let pinned = held.database.shared().expect("the held snapshot keeps its core");
+        assert_eq!(pinned.t_seconds, 2.0);
+        assert!(!Arc::ptr_eq(pinned, coordinator.database().shared().expect("installed")));
+    }
+}

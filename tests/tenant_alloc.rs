@@ -4,7 +4,10 @@
 //! diff, path solve) already recycles; the per-tenant lanes (delta buffers,
 //! programme mirrors) must recycle too, so the marginal allocation cost of
 //! a tenant is a small fraction of a solo epoch and per-epoch counts stay
-//! flat as the run ages.
+//! flat as the run ages. The core itself travels by swap and by `Arc`
+//! (`docs/PIPELINE.md`), so a coordinator nobody straggles behind must
+//! allocate no state- or matrix-sized buffer per update in either pipeline
+//! mode: recycling must never degrade into minting a fresh core per epoch.
 //!
 //! The test binary installs a counting global allocator, so everything runs
 //! in ONE `#[test]` — parallel test threads would pollute the counter.
@@ -25,9 +28,23 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Allocation events of at least [`LARGE`] bytes. On the test constellation
+/// (194 nodes, ~60 solved rows) only an epoch core's buffers are this big:
+/// the distance and predecessor matrices (~90 and ~45 KiB) and the link
+/// list; everything the lanes and reports allocate is far smaller.
+static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+const LARGE: usize = 16 * 1024;
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size >= LARGE {
+        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -36,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -89,16 +106,13 @@ fn pipeline_windows(tenants: usize) -> (u64, u64) {
 }
 
 /// Steady-state allocation events per epoch of a full coordinator fan-out
-/// (lane replay, `/info` slices, diff extraction), two consecutive windows.
-fn coordinator_windows(tenants: usize) -> (u64, u64) {
+/// (core install, snapshot publication, lane replay, `/info` slices, diff
+/// extraction): two consecutive windows, and the large allocations of both.
+fn coordinator_windows(tenants: usize, mode: PipelineMode) -> (u64, u64, u64) {
     let names = (0..tenants).map(|i| format!("tenant-{i}")).collect();
-    let mut coordinator = Coordinator::with_fanout(
-        constellation(),
-        SimDuration::from_secs(1),
-        PipelineMode::Synchronous,
-        None,
-        names,
-    );
+    let mut coordinator =
+        Coordinator::with_fanout(constellation(), SimDuration::from_secs(1), mode, None, names);
+    coordinator.enable_snapshots();
     let mut epoch = 0u32;
     let mut run = |coordinator: &mut Coordinator, epochs: u32| {
         let before = allocations();
@@ -109,9 +123,13 @@ fn coordinator_windows(tenants: usize) -> (u64, u64) {
         allocations() - before
     };
     let _ = run(&mut coordinator, WARMUP_EPOCHS);
+    let large_before = LARGE_ALLOCATIONS.load(Ordering::Relaxed);
     let first = run(&mut coordinator, WINDOW_EPOCHS);
     let second = run(&mut coordinator, WINDOW_EPOCHS);
-    (first, second)
+    // Dropping the coordinator joins the pipelined worker, so its last
+    // prefetch is inside the count.
+    drop(coordinator);
+    (first, second, LARGE_ALLOCATIONS.load(Ordering::Relaxed) - large_before)
 }
 
 #[test]
@@ -145,16 +163,29 @@ fn tenant_fanout_does_not_add_steady_state_allocation_churn() {
     );
 
     // --- Full coordinator: fan-out plus lane replay and /info slices. ---
-    let (csolo_1, csolo_2) = coordinator_windows(1);
-    let (cfleet_1, cfleet_2) = coordinator_windows(4);
-    println!(
-        "coordinator allocs/window: solo {csolo_1}/{csolo_2}, 4 tenants {cfleet_1}/{cfleet_2}"
-    );
-    flat("coordinator solo", csolo_1, csolo_2);
-    flat("coordinator fleet", cfleet_1, cfleet_2);
-    let marginal = cfleet_2.saturating_sub(csolo_2) / 3;
-    assert!(
-        marginal <= csolo_2 / 4 + 64,
-        "coordinator: marginal per-tenant allocs {marginal}/epoch-window vs solo {csolo_2}"
-    );
+    for mode in PipelineMode::ALL {
+        let (csolo_1, csolo_2, csolo_large) = coordinator_windows(1, mode);
+        let (cfleet_1, cfleet_2, cfleet_large) = coordinator_windows(4, mode);
+        println!(
+            "{mode:?} coordinator allocs/window: solo {csolo_1}/{csolo_2}, 4 tenants \
+             {cfleet_1}/{cfleet_2}; large: {csolo_large}, {cfleet_large}"
+        );
+        flat("coordinator solo", csolo_1, csolo_2);
+        flat("coordinator fleet", cfleet_1, cfleet_2);
+        let marginal = cfleet_2.saturating_sub(csolo_2) / 3;
+        assert!(
+            marginal <= csolo_2 / 4 + 64,
+            "{mode:?} coordinator: marginal per-tenant allocs {marginal}/epoch-window vs solo {csolo_2}"
+        );
+        // Installing and publishing share the core and the retired one
+        // comes back to be swapped into: a minted core would cost at least
+        // two large allocations per epoch, forty over the two windows. A
+        // rotating buffer may still grow once when the scope gains a row.
+        for large in [csolo_large, cfleet_large] {
+            assert!(
+                large <= 2 * u64::from(WINDOW_EPOCHS) / 4,
+                "{mode:?} coordinator: {large} state/matrix-sized allocations in steady state"
+            );
+        }
+    }
 }
