@@ -27,37 +27,46 @@ pub struct FigureOptions {
 }
 
 impl FigureOptions {
-    /// Parses options from the process arguments.
+    /// Parses options from the process arguments. On a malformed argument it
+    /// prints the problem and a usage line to stderr and exits with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_slice(&args)
+        Self::from_slice(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}\nusage: [--quick] [--seed <n>] [--out <dir>]");
+            std::process::exit(2);
+        })
     }
 
     /// Parses options from a slice of argument strings.
-    pub fn from_slice(args: &[String]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first unknown argument, flag without a
+    /// value, or `--seed` that is not an unsigned integer.
+    pub fn from_slice(args: &[String]) -> Result<Self, String> {
         let mut options = FigureOptions {
             quick: false,
             out_dir: None,
             seed: 2022,
         };
-        let mut iter = args.iter().peekable();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--quick" => options.quick = true,
                 "--out" => {
-                    if let Some(dir) = iter.next() {
-                        options.out_dir = Some(PathBuf::from(dir));
-                    }
+                    let dir = iter.next().ok_or("--out needs a directory")?;
+                    options.out_dir = Some(PathBuf::from(dir));
                 }
                 "--seed" => {
-                    if let Some(seed) = iter.next() {
-                        options.seed = seed.parse().unwrap_or(options.seed);
-                    }
+                    let seed = iter.next().ok_or("--seed needs a value")?;
+                    options.seed = seed
+                        .parse()
+                        .map_err(|_| format!("--seed {seed:?} is not an unsigned integer"))?;
                 }
-                _ => {}
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        options
+        Ok(options)
     }
 
     /// Writes an artifact file into the output directory, if one was given.
@@ -136,24 +145,39 @@ pub fn csv(points: &[(f64, f64)], x_name: &str, y_name: &str) -> String {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<FigureOptions, String> {
+        FigureOptions::from_slice(&args.iter().map(|&arg| arg.to_owned()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn options_parse_flags() {
-        let options = FigureOptions::from_slice(&[
-            "--quick".to_owned(),
-            "--seed".to_owned(),
-            "7".to_owned(),
-            "--out".to_owned(),
-            "/tmp/figs".to_owned(),
-        ]);
+        let options = parse(&["--quick", "--seed", "7", "--out", "/tmp/figs"]).expect("valid");
         assert!(options.quick);
         assert_eq!(options.seed, 7);
         assert_eq!(options.out_dir.as_deref(), Some(std::path::Path::new("/tmp/figs")));
+
+        let defaults = parse(&[]).expect("no arguments are valid");
+        assert!(!defaults.quick);
+        assert_eq!(defaults.seed, 2022);
+        assert!(defaults.out_dir.is_none());
+
+        for (args, problem) in [
+            (&["--seed", "seven"][..], "not an unsigned integer"),
+            (&["--seed", "-1"][..], "not an unsigned integer"),
+            (&["--seed"][..], "--seed needs a value"),
+            (&["--quick", "--out"][..], "--out needs a directory"),
+            (&["--quik"][..], "unknown argument \"--quik\""),
+            (&["figs"][..], "unknown argument \"figs\""),
+        ] {
+            let error = parse(args).expect_err("malformed arguments are rejected");
+            assert!(error.contains(problem), "{args:?}: {error}");
+        }
     }
 
     #[test]
     fn quick_configs_are_smaller() {
-        let quick = FigureOptions::from_slice(&["--quick".to_owned()]);
-        let full = FigureOptions::from_slice(&[]);
+        let quick = parse(&["--quick"]).expect("valid");
+        let full = parse(&[]).expect("valid");
         let quick_config = meetup_testbed_config(&quick);
         let full_config = meetup_testbed_config(&full);
         assert!(quick_config.duration_s < full_config.duration_s);

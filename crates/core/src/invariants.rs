@@ -14,7 +14,8 @@
 //! A third checker, [`SoakMeter`], gates long soak runs: journal growth and
 //! allocation counts per block must stay flat once the run reaches steady
 //! state, extending the zero-steady-state-allocation capacity tests to a
-//! 24 h-simulated horizon (`BENCH_chaos.json`).
+//! chaos soak (`tests/tenant_alloc.rs` runs ten simulated minutes of chaos
+//! through it).
 
 use crate::coordinator::PairProgram;
 

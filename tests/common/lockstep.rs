@@ -2,7 +2,8 @@
 //! helpers that capture **everything a run observes** as one comparable
 //! value. `tests/shard_lockstep.rs` uses it to prove the sharded plane
 //! bit-identical to the global network; `tests/chaos_convergence.rs` uses it
-//! to prove chaos runs deterministic and convergent (`docs/CHAOS.md`).
+//! to prove chaos runs deterministic and convergent, and `tests/tenant_alloc.rs`
+//! to prove a chaos soak flat (`docs/CHAOS.md`).
 
 use celestial::config::{
     ScenarioBlock, ScenarioBlockKind, ScenarioConfig, ServeConfig, TenantsConfig, TestbedConfig,
@@ -112,6 +113,11 @@ pub struct Journal {
 }
 
 impl Journal {
+    /// Bytes journalled so far: the soak gate's journal-growth measure.
+    pub fn journal_bytes(&self) -> u64 {
+        self.epochs.iter().map(|line| line.len() as u64).sum()
+    }
+
     fn ping(&mut self, ctx: &mut AppContext<'_>) {
         let (Some(a), Some(b)) = (self.accra, self.abuja) else { return };
         let seq = self.next_seq;

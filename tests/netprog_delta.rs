@@ -76,6 +76,28 @@ proptest! {
     }
 }
 
+/// The delta engine's reason to exist, counted: over five steady-state
+/// one-second updates it performs at least 5× fewer pair programmings than
+/// rewriting the whole programme every update would. The counts depend only
+/// on orbital mechanics and the 0.1 ms quantization, so they are exact.
+#[test]
+fn the_delta_engine_programs_five_times_fewer_pairs_than_a_full_rebuild() {
+    let mut coordinator = coordinator(1.0);
+    // Epoch 0 adds every reachable pair; the steady state starts after it.
+    coordinator.update(0.0).expect("first update");
+    let (mut full, mut delta) = (0usize, 0usize);
+    for update in 1..=5 {
+        coordinator.update(f64::from(update)).expect("update");
+        full += coordinator.programme_pair_count();
+        delta += coordinator.programme_delta().op_count();
+    }
+    assert!(full > 0, "nothing programmed");
+    assert!(
+        full >= 5 * delta.max(1),
+        "delta engine must beat the full rebuild 5x: {full} full vs {delta} delta pair programmings"
+    );
+}
+
 /// Applying each epoch's delta to a virtual network keeps the rule table in
 /// lockstep with the full programme: every programmed pair reachable with the
 /// programme's exact delay and bandwidth, and not a single extra rule.

@@ -1,7 +1,10 @@
 //! Cross-crate consistency tests: the orbital mechanics, constellation
 //! calculation and network emulation must agree with each other.
 
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, LinkKind, Shell};
+use celestial_constellation::{
+    BoundingBox, Constellation, GroundStation, LinkKind, PathAlgorithm, PathEngine, ScopeParams,
+    Shell, SolveScope,
+};
 use celestial_netem::packet::Packet;
 use celestial_netem::VirtualNetwork;
 use celestial_sgp4::frames::eci_to_ecef;
@@ -96,6 +99,54 @@ fn programmed_network_reproduces_constellation_latency_between_stations() {
         (arrival_ms - programmed_ms).abs() < 0.01,
         "arrival {arrival_ms} ms vs programmed {programmed_ms} ms"
     );
+}
+
+/// The scoped solve's exactness contract at Starlink-class scale
+/// (`docs/MEGASCALE.md`): on a 72×22 shell over West Africa the scope
+/// prunes source rows, yet every (required, required) entry — everything
+/// the programme store and the info API read — equals a full, unbounded
+/// solve of the same rows.
+#[test]
+fn scoped_rows_equal_full_rows_on_every_required_pair_at_72x22() {
+    let constellation = Constellation::builder()
+        .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 72, 22)))
+        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
+        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
+        .bounding_box(BoundingBox::west_africa())
+        .build()
+        .expect("constellation");
+    let state = constellation.state_at(1.0).expect("state");
+    let nodes = state.node_count();
+    let mut scope = SolveScope::new();
+    scope.derive(&state, &constellation.bounding_box(), &ScopeParams::default());
+    assert!(
+        scope.sources().len() < nodes,
+        "the scope solves {} of {nodes} rows: nothing pruned",
+        scope.sources().len()
+    );
+    let required: Vec<u32> = (0..nodes as u32).filter(|&i| scope.is_required(i as usize)).collect();
+
+    let mut scoped = PathEngine::new(PathAlgorithm::Dijkstra);
+    let mut full = PathEngine::new(PathAlgorithm::Dijkstra);
+    let scoped_paths = scoped.solve_scope(state.graph(), &scope);
+    let full_paths = full.solve_sources(state.graph(), &required);
+    let mut pairs = 0usize;
+    for &a in &required {
+        for &b in &required {
+            if a == b {
+                continue;
+            }
+            let (a, b) = (a as usize, b as usize);
+            assert!(scoped_paths.is_exact(a, b), "required pair ({a}, {b}) not exact in the scoped solve");
+            assert_eq!(
+                scoped_paths.latency_micros(a, b),
+                full_paths.latency_micros(a, b),
+                "scoped row differs from the full solve on pair ({a}, {b})"
+            );
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 0, "no required pair to compare");
 }
 
 proptest! {

@@ -8,16 +8,25 @@
 //! (`docs/PIPELINE.md`), so a coordinator nobody straggles behind must
 //! allocate no state- or matrix-sized buffer per update in either pipeline
 //! mode: recycling must never degrade into minting a fresh core per epoch.
+//! Last, a whole testbed soaks under chaos (`docs/CHAOS.md`): its journal
+//! and allocation growth per block must stay flat once warmed up.
 //!
 //! The test binary installs a counting global allocator, so everything runs
 //! in ONE `#[test]` — parallel test threads would pollute the counter.
 
+mod common;
+
+use celestial::config::{ChaosConfig, TestbedConfig};
+use celestial::invariants::SoakMeter;
 use celestial::pipeline::{EpochCompute, EpochPipeline, PipelineMode};
+use celestial::testbed::{AppContext, GuestApplication, Testbed};
 use celestial::Coordinator;
 use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
+use celestial_netem::Packet;
 use celestial_sgp4::WalkerShell;
 use celestial_types::geo::Geodetic;
 use celestial_types::time::SimDuration;
+use common::lockstep::Journal;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -132,6 +141,67 @@ fn coordinator_windows(tenants: usize, mode: PipelineMode) -> (u64, u64, u64) {
     (first, second, LARGE_ALLOCATIONS.load(Ordering::Relaxed) - large_before)
 }
 
+const SOAK_BLOCK_S: u64 = 60;
+
+/// The chaos soak: the 12×16 shell over West Africa, pipelined, on a 4-host
+/// sharded plane with every chaos generator on, for ten simulated minutes
+/// at 1 s epochs.
+fn soak_config() -> TestbedConfig {
+    TestbedConfig::builder()
+        .seed(11)
+        .update_interval_s(1.0)
+        .duration_s(600.0)
+        .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 12, 16)))
+        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
+        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
+        .bounding_box(BoundingBox::west_africa())
+        .pipeline(PipelineMode::Pipelined)
+        .shards(4)
+        .chaos(ChaosConfig::default())
+        .build()
+        .expect("valid soak config")
+}
+
+/// The lockstep journalling ping application, plus one `(journal bytes,
+/// allocation events)` growth sample per [`SOAK_BLOCK_S`] block.
+#[derive(Default)]
+struct Soak {
+    app: Journal,
+    samples: Vec<(u64, u64)>,
+    last: (u64, u64),
+}
+
+impl Soak {
+    fn totals(&self) -> (u64, u64) {
+        (self.app.journal_bytes(), allocations())
+    }
+}
+
+impl GuestApplication for Soak {
+    fn on_start(&mut self, ctx: &mut AppContext<'_>) {
+        self.app.on_start(ctx);
+        self.last = self.totals();
+    }
+
+    fn on_constellation_update(&mut self, ctx: &mut AppContext<'_>) {
+        self.app.on_constellation_update(ctx);
+        let seconds = ctx.now().as_micros() / 1_000_000;
+        if seconds > 0 && seconds % SOAK_BLOCK_S == 0 {
+            let now = self.totals();
+            self.samples.push((now.0 - self.last.0, now.1 - self.last.1));
+            self.last = now;
+        }
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut AppContext<'_>) {
+        self.app.on_timer(tag, ctx);
+    }
+
+    fn on_message(&mut self, message: &Packet, ctx: &mut AppContext<'_>) {
+        self.app.on_message(message, ctx);
+    }
+}
+
 #[test]
 fn tenant_fanout_does_not_add_steady_state_allocation_churn() {
     // --- Bare pipeline: the fan-out path proper. ---
@@ -188,4 +258,22 @@ fn tenant_fanout_does_not_add_steady_state_allocation_churn() {
             );
         }
     }
+
+    // --- Chaos soak: the whole testbed stays flat under churn. ---
+    let mut testbed = Testbed::new(&soak_config()).expect("soak testbed");
+    let chaos_events = testbed.chaos_events();
+    assert!(chaos_events > 0, "chaos scheduled nothing: a vacuous soak");
+    let mut soak = Soak::default();
+    testbed.run(&mut soak).expect("soak run");
+    assert_eq!(testbed.failed_recoveries(), 0, "recoveries failed during the soak");
+    let mut meter = SoakMeter::new();
+    for &(journal, allocs) in &soak.samples {
+        meter.record_block(journal, allocs);
+    }
+    println!(
+        "chaos soak: {chaos_events} chaos events, (journal B, allocs) per block {:?}",
+        meter.blocks()
+    );
+    let verdict = meter.verdict(2, 2.0);
+    assert!(verdict.is_ok(), "chaos soak not flat: {verdict:?}");
 }
