@@ -1,17 +1,17 @@
-//! Snapshots of constellation state and diffs between them.
+//! Snapshots of machine activity and the diffs between them.
 //!
 //! Celestial's coordinator recomputes the constellation at a fixed update
-//! interval and sends the *changes* — machines to suspend or resume, network
-//! links to add, remove or re-shape — to the machine managers on each host.
-//! [`ConstellationSnapshot`] is that wire-level view of a state, and
-//! [`ConstellationDiff`] is the change set between two snapshots.
+//! interval and tells the machine managers on each host which satellite
+//! microVMs to boot or resume and which to suspend, because their satellite
+//! crossed the bounding box. [`ConstellationSnapshot`] is the desired
+//! activity of every machine at one instant, and [`ConstellationDiff`] is the
+//! machine-activity change set between two snapshots. Links are not part of
+//! either: the core crate's `ProgrammeStore` programs the network from the
+//! epoch's paths.
 
 use crate::constellation::ConstellationState;
-use crate::links::LinkKind;
 use celestial_types::ids::NodeId;
-use celestial_types::{Bandwidth, Latency};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Whether a node's machine should be running or suspended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -22,188 +22,85 @@ pub enum MachineActivity {
     Suspended,
 }
 
-/// The network properties a machine manager must program for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkProperties {
-    /// One-way latency, already quantized to the 0.1 ms granularity at which
-    /// `tc-netem` is programmed.
-    pub latency: Latency,
-    /// Bandwidth cap of the link.
-    pub bandwidth: Bandwidth,
-    /// Kind of the link (informational).
-    pub kind: LinkKind,
-}
-
-/// A wire-level snapshot of the constellation at one instant: the desired
-/// activity of every machine and the desired shaping of every available link.
+/// The desired activity of every machine at one instant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ConstellationSnapshot {
     /// The simulated time of the snapshot in seconds.
     pub time_seconds: f64,
-    /// Desired machine activity per node.
-    pub machines: BTreeMap<NodeId, MachineActivity>,
-    /// Desired link shaping per canonical (ordered) node pair.
-    pub links: BTreeMap<(NodeId, NodeId), LinkProperties>,
+    /// Desired machine activity of every node, in node-index order:
+    /// satellites by shell and index, then ground stations. That is also
+    /// [`NodeId`]'s order.
+    pub machines: Vec<(NodeId, MachineActivity)>,
 }
 
 impl ConstellationSnapshot {
     /// Builds a snapshot from a computed constellation state.
     pub fn from_state(state: &ConstellationState) -> Self {
-        let mut machines = BTreeMap::new();
-        for idx in 0..state.node_count() {
-            let node = state.node_id(idx).expect("index in range");
-            let activity = match node {
-                NodeId::Satellite(sat) => {
-                    if state.is_active(sat).expect("satellite in range") {
-                        MachineActivity::Active
-                    } else {
-                        MachineActivity::Suspended
-                    }
-                }
-                NodeId::GroundStation(_) => MachineActivity::Active,
-            };
-            machines.insert(node, activity);
-        }
-
-        let mut links = BTreeMap::new();
-        for link in &state.links {
-            links.insert(
-                link.canonical_endpoints(),
-                LinkProperties {
-                    latency: link.latency.quantized_tenth_ms(),
-                    bandwidth: link.bandwidth,
-                    kind: link.kind,
-                },
-            );
-        }
-
+        // Satellites come first in node-index order, so the activity flags
+        // end where the always-active ground stations begin.
+        let active = state.active_raw();
+        let machines = (0..state.node_count())
+            .map(|idx| {
+                let node = state.node_id(idx).expect("index in range");
+                let activity = match active.get(idx) {
+                    Some(false) => MachineActivity::Suspended,
+                    Some(true) | None => MachineActivity::Active,
+                };
+                (node, activity)
+            })
+            .collect();
         ConstellationSnapshot {
             time_seconds: state.time_seconds,
             machines,
-            links,
         }
     }
 
     /// Computes the change set that transforms this snapshot into `newer`.
+    /// Against an empty snapshot (the [`Default`]) every node of `newer` is
+    /// added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if neither snapshot is empty and they list different nodes:
+    /// a constellation's nodes are fixed when it is built.
     pub fn diff(&self, newer: &ConstellationSnapshot) -> ConstellationDiff {
         let mut diff = ConstellationDiff {
             time_seconds: newer.time_seconds,
             ..ConstellationDiff::default()
         };
-
-        for (node, activity) in &newer.machines {
-            match self.machines.get(node) {
-                None => diff.machines_added.push((*node, *activity)),
-                Some(old) if old != activity => match activity {
-                    MachineActivity::Active => diff.activated.push(*node),
-                    MachineActivity::Suspended => diff.suspended.push(*node),
-                },
-                Some(_) => {}
+        if self.machines.is_empty() {
+            diff.machines_added.clone_from(&newer.machines);
+            return diff;
+        }
+        assert_eq!(
+            self.machines.len(),
+            newer.machines.len(),
+            "snapshots of different constellations"
+        );
+        for (&(node, old), &(newer_node, activity)) in self.machines.iter().zip(&newer.machines) {
+            assert_eq!(node, newer_node, "snapshots of different constellations");
+            if old != activity {
+                match activity {
+                    MachineActivity::Active => diff.activated.push(node),
+                    MachineActivity::Suspended => diff.suspended.push(node),
+                }
             }
         }
-        for node in self.machines.keys() {
-            if !newer.machines.contains_key(node) {
-                diff.machines_removed.push(*node);
-            }
-        }
-
-        for (pair, props) in &newer.links {
-            match self.links.get(pair) {
-                None => diff.links_added.push((*pair, *props)),
-                Some(old) if old != props => diff.links_changed.push((*pair, *props)),
-                Some(_) => {}
-            }
-        }
-        for pair in self.links.keys() {
-            if !newer.links.contains_key(pair) {
-                diff.links_removed.push(*pair);
-            }
-        }
-
         diff
-    }
-
-    /// Applies a change set to this snapshot, producing the newer snapshot.
-    /// `snapshot.apply(&snapshot.diff(&newer))` reproduces `newer`.
-    pub fn apply(&self, diff: &ConstellationDiff) -> ConstellationSnapshot {
-        let mut result = self.clone();
-        result.time_seconds = diff.time_seconds;
-        for (node, activity) in &diff.machines_added {
-            result.machines.insert(*node, *activity);
-        }
-        for node in &diff.machines_removed {
-            result.machines.remove(node);
-        }
-        for node in &diff.activated {
-            result.machines.insert(*node, MachineActivity::Active);
-        }
-        for node in &diff.suspended {
-            result.machines.insert(*node, MachineActivity::Suspended);
-        }
-        for (pair, props) in &diff.links_added {
-            result.links.insert(*pair, *props);
-        }
-        for pair in &diff.links_removed {
-            result.links.remove(pair);
-        }
-        for (pair, props) in &diff.links_changed {
-            result.links.insert(*pair, *props);
-        }
-        result
-    }
-
-    /// Number of active machines in the snapshot.
-    pub fn active_machine_count(&self) -> usize {
-        self.machines
-            .values()
-            .filter(|a| **a == MachineActivity::Active)
-            .count()
     }
 }
 
-/// The change set between two consecutive snapshots.
+/// The machine-activity change set between two consecutive snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ConstellationDiff {
     /// The simulated time of the newer snapshot in seconds.
     pub time_seconds: f64,
     /// Nodes that appear for the first time, with their initial activity.
     pub machines_added: Vec<(NodeId, MachineActivity)>,
-    /// Nodes that no longer exist.
-    pub machines_removed: Vec<NodeId>,
     /// Machines to resume (satellite re-entered the bounding box).
     pub activated: Vec<NodeId>,
     /// Machines to suspend (satellite left the bounding box).
     pub suspended: Vec<NodeId>,
-    /// Links that became available, with their shaping parameters.
-    pub links_added: Vec<((NodeId, NodeId), LinkProperties)>,
-    /// Links that became unavailable.
-    pub links_removed: Vec<(NodeId, NodeId)>,
-    /// Links whose latency or bandwidth changed.
-    pub links_changed: Vec<((NodeId, NodeId), LinkProperties)>,
-}
-
-impl ConstellationDiff {
-    /// Returns true if the diff contains no changes at all.
-    pub fn is_empty(&self) -> bool {
-        self.machines_added.is_empty()
-            && self.machines_removed.is_empty()
-            && self.activated.is_empty()
-            && self.suspended.is_empty()
-            && self.links_added.is_empty()
-            && self.links_removed.is_empty()
-            && self.links_changed.is_empty()
-    }
-
-    /// Total number of changed items in the diff.
-    pub fn change_count(&self) -> usize {
-        self.machines_added.len()
-            + self.machines_removed.len()
-            + self.activated.len()
-            + self.suspended.len()
-            + self.links_added.len()
-            + self.links_removed.len()
-            + self.links_changed.len()
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +111,6 @@ mod tests {
     use crate::shell::Shell;
     use crate::BoundingBox;
     use celestial_sgp4::WalkerShell;
-    use proptest::prelude::*;
 
     fn constellation() -> Constellation {
         Constellation::builder()
@@ -231,11 +127,13 @@ mod tests {
         let state = c.state_at(0.0).unwrap();
         let snapshot = ConstellationSnapshot::from_state(&state);
         assert_eq!(snapshot.machines.len(), 25);
-        assert_eq!(snapshot.links.len(), state.links.len());
-        // Ground stations are always active.
+        // Node-index order is `NodeId` order: the diff lists nodes in the
+        // order host placement first sees them.
+        assert!(snapshot.machines.windows(2).all(|w| w[0].0 < w[1].0));
+        // Ground stations come last and are always active.
         assert_eq!(
-            snapshot.machines[&NodeId::ground_station(0)],
-            MachineActivity::Active
+            snapshot.machines[24],
+            (NodeId::ground_station(0), MachineActivity::Active)
         );
     }
 
@@ -244,36 +142,26 @@ mod tests {
         let c = constellation();
         let state = c.state_at(0.0).unwrap();
         let snap = ConstellationSnapshot::from_state(&state);
-        let diff = snap.diff(&snap);
-        assert!(diff.is_empty());
-        assert_eq!(diff.change_count(), 0);
+        assert_eq!(snap.diff(&snap), ConstellationDiff::default());
     }
 
     #[test]
-    fn diff_detects_changes_over_time() {
+    fn the_first_diff_adds_every_node_with_its_activity() {
         let c = constellation();
-        let s0 = ConstellationSnapshot::from_state(&c.state_at(0.0).unwrap());
-        let s1 = ConstellationSnapshot::from_state(&c.state_at(120.0).unwrap());
-        let diff = s0.diff(&s1);
-        // Two minutes of orbital motion moves every satellite by hundreds of
-        // kilometres, so link latencies must change.
-        assert!(!diff.is_empty());
-        assert!(
-            !diff.links_changed.is_empty()
-                || !diff.links_added.is_empty()
-                || !diff.links_removed.is_empty()
-        );
-        assert_eq!(diff.time_seconds, 120.0);
+        let snap = ConstellationSnapshot::from_state(&c.state_at(60.0).unwrap());
+        let diff = ConstellationSnapshot::default().diff(&snap);
+        assert_eq!(diff.time_seconds, 60.0);
+        assert_eq!(diff.machines_added, snap.machines);
+        assert!(diff.activated.is_empty() && diff.suspended.is_empty());
     }
 
     #[test]
-    fn diff_apply_round_trips() {
-        let c = constellation();
-        let s0 = ConstellationSnapshot::from_state(&c.state_at(0.0).unwrap());
-        let s1 = ConstellationSnapshot::from_state(&c.state_at(300.0).unwrap());
-        let diff = s0.diff(&s1);
-        let rebuilt = s0.apply(&diff);
-        assert_eq!(rebuilt, s1);
+    #[should_panic(expected = "snapshots of different constellations")]
+    fn diffing_snapshots_of_different_constellations_panics() {
+        let snap = ConstellationSnapshot::from_state(&constellation().state_at(0.0).unwrap());
+        let mut other = snap.clone();
+        other.machines.pop();
+        snap.diff(&other);
     }
 
     #[test]
@@ -294,17 +182,5 @@ mod tests {
             prev = next;
         }
         assert!(saw_transition, "no suspend/resume transition in 30 minutes");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-        #[test]
-        fn apply_diff_reproduces_target_for_any_times(t0 in 0.0f64..3600.0, t1 in 0.0f64..3600.0) {
-            let c = constellation();
-            let s0 = ConstellationSnapshot::from_state(&c.state_at(t0).unwrap());
-            let s1 = ConstellationSnapshot::from_state(&c.state_at(t1).unwrap());
-            let diff = s0.diff(&s1);
-            prop_assert_eq!(s0.apply(&diff), s1);
-        }
     }
 }

@@ -683,15 +683,15 @@ impl TestbedConfig {
                 })?;
         }
 
-        if let Some(shards) = table.get_i64("shards") {
-            if shards < 1 {
-                return Err(Error::config("shards must be at least 1 (see docs/SHARDING.md)"));
-            }
-            config.shards = Some(shards as u32);
-            // `shards = N` alone provisions N default hosts; explicit
-            // `[[host]]` tables must agree with it (validated below).
-            config.hosts = vec![HostConfig::default(); shards as usize];
-        }
+        let shards = match table.get_i64("shards") {
+            Some(n) => Some(u32::try_from(n).ok().filter(|&n| n >= 1).ok_or_else(|| {
+                Error::config(format!(
+                    "shards must be between 1 and {}, got {n} (see docs/SHARDING.md)",
+                    u32::MAX
+                ))
+            })?),
+            None => None,
+        };
         if let Some(us) = table.get_i64("host-latency-us") {
             if us < 0 {
                 return Err(Error::config("host-latency-us must be non-negative"));
@@ -717,6 +717,24 @@ impl TestbedConfig {
             for gst in stations {
                 config.ground_stations.push(parse_ground_station(gst)?);
             }
+        }
+        if let Some(shards) = shards {
+            // Widened before multiplying: the shell sizes are unchecked input.
+            let nodes = config
+                .shells
+                .iter()
+                .map(|s| u64::from(s.walker.planes) * u64::from(s.walker.satellites_per_plane))
+                .fold(config.ground_stations.len() as u64, u64::saturating_add);
+            if u64::from(shards) > nodes {
+                return Err(Error::config(format!(
+                    "shards = {shards} exceeds the {nodes} nodes the configuration defines; \
+                     each shard is a host of at least one machine (see docs/SHARDING.md)"
+                )));
+            }
+            config.shards = Some(shards);
+            // `shards = N` alone provisions N default hosts; explicit
+            // `[[host]]` tables must agree with it (validated below).
+            config.hosts = vec![HostConfig::default(); shards as usize];
         }
         if let Some(chaos) = table.get("chaos").and_then(|v| v.as_table()) {
             let defaults = ChaosConfig::default();
@@ -1378,7 +1396,7 @@ min-elevation-deg = 30.0
     #[test]
     fn shards_key_provisions_one_host_per_shard() {
         let toml = "shards = 4\nhost-latency-us = 350\n[[shell]]\naltitude-km = 550.0\n\
-                    inclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 2";
+                    inclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 4";
         let config = TestbedConfig::from_toml(toml).expect("valid config");
         assert_eq!(config.shards, Some(4));
         assert_eq!(config.hosts.len(), 4);
@@ -1395,12 +1413,26 @@ min-elevation-deg = 30.0
     fn shards_must_match_an_explicit_host_fleet() {
         let toml = "shards = 4\n[[host]]\ncores = 8\nmemory-mib = 8192\n[[shell]]\n\
                     altitude-km = 550.0\ninclination-deg = 53.0\nplanes = 1\n\
-                    satellites-per-plane = 2";
+                    satellites-per-plane = 4";
         let err = TestbedConfig::from_toml(toml).unwrap_err();
         assert!(err.to_string().contains("one shard per host"), "{err}");
         let zero = "shards = 0\n[[shell]]\naltitude-km = 550.0\ninclination-deg = 53.0\n\
                     planes = 1\nsatellites-per-plane = 2";
         assert!(TestbedConfig::from_toml(zero).is_err());
+        // A count that does not fit a u32 is rejected, not narrowed, and so
+        // is one larger than the 1 × 2 shell plus one station has nodes:
+        // neither provisions a host.
+        let shell = "[[shell]]\naltitude-km = 550.0\ninclination-deg = 53.0\nplanes = 1\n\
+                     satellites-per-plane = 2\n[[ground-station]]\nname = \"accra\"\n\
+                     lat = 5.6\nlon = -0.2";
+        for shards in ["4294967297", "4"] {
+            let toml = format!("shards = {shards}\n{shell}");
+            let err = TestbedConfig::from_toml(&toml).unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{err}");
+            assert!(err.to_string().contains("shards"), "{err}");
+        }
+        let three = TestbedConfig::from_toml(&format!("shards = 3\n{shell}")).expect("3 nodes");
+        assert_eq!(three.hosts.len(), 3);
         // Builder: shards resizes a default fleet, and an agreeing explicit
         // fleet is kept.
         let config = TestbedConfig::builder()

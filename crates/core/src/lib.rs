@@ -8,7 +8,7 @@
 //! * [`config`] — the single configuration file (orbital, network, compute
 //!   and bounding-box parameters) with a hand-written TOML-subset parser,
 //! * [`coordinator`] — the central coordinator: periodic constellation
-//!   updates, state diffing and distribution to hosts,
+//!   updates, machine-activity diffing and distribution to hosts,
 //! * [`machine_manager`] — the per-host agent that applies machine lifecycle
 //!   and network-shaping updates,
 //! * [`ipam`] and [`dns`] — virtual IP address management and the

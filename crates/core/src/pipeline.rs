@@ -42,16 +42,17 @@
 //!
 //! One pipeline can drive N independent tenants: [`EpochCompute`] owns one
 //! [`ProgrammeStore`] per tenant ([`EpochCompute::set_tenant_count`]), so
-//! the dominant shared work — propagation, snapshot diff, path solve — runs
-//! once per epoch while the cheap programme walk runs once per tenant. The
-//! tenants=1 case is the degenerate solo testbed and is bit-identical to the
-//! pre-tenant engine. See `docs/TENANTS.md` for the shared/tenant split.
+//! the dominant shared work — propagation, machine-activity diff, path
+//! solve — runs once per epoch while the cheap programme walk runs once per
+//! tenant. The tenants=1 case is the degenerate solo testbed and is
+//! bit-identical to the pre-tenant engine. See `docs/TENANTS.md` for the
+//! shared/tenant split.
 //!
 //! `docs/PIPELINE.md` is the user-facing guide: epoch lifecycle, handover
 //! contract and the `pipeline` configuration key.
 
 use crate::netprog::ProgrammeStore;
-use celestial_constellation::snapshot::{LinkProperties, MachineActivity};
+use celestial_constellation::snapshot::MachineActivity;
 use celestial_constellation::{
     Constellation, ConstellationDiff, ConstellationSnapshot, ConstellationState, PathEngine,
     ScopeParams, ShortestPaths, SolveKind, SolveScope, SolveStats, StateBuffers,
@@ -218,7 +219,9 @@ pub struct TenantEpoch {
 pub struct EpochBundle {
     /// The tenant-shared immutable core of the epoch.
     pub shared: Arc<SharedEpoch>,
-    /// The machine/link change set relative to the previous epoch.
+    /// The machine-activity change set relative to the previous epoch:
+    /// which satellite machines to boot, resume or suspend. Links are not
+    /// in it; each tenant's [`ProgrammeStore`] delta programs the network.
     pub diff: ConstellationDiff,
     /// Wall-clock nanoseconds the computation took (shared solve plus all
     /// tenant programme walks).
@@ -264,7 +267,9 @@ impl EpochBundle {
 pub struct EpochCompute {
     constellation: Constellation,
     buffers: StateBuffers,
-    previous: Option<ConstellationSnapshot>,
+    /// The last epoch's snapshot; empty before the first, so the first
+    /// diff adds every node.
+    previous: ConstellationSnapshot,
     engine: PathEngine,
     /// One retained programme per tenant (at least one); every store walks
     /// the same shared path matrix, so N tenants cost N cheap programme
@@ -302,7 +307,7 @@ impl EpochCompute {
         EpochCompute {
             constellation,
             buffers,
-            previous: None,
+            previous: ConstellationSnapshot::default(),
             engine,
             tenants: vec![store],
             sources: Vec::new(),
@@ -365,9 +370,11 @@ impl EpochCompute {
     }
 
     /// Runs one epoch at `t_seconds`: batch propagation into the retained
-    /// buffers, snapshot diff, source-restricted path solve and programme
-    /// delta. Returns the machine/link diff; the remaining results stay
-    /// inside (`state`, `paths`, `delta`, …) for bundling.
+    /// buffers, machine-activity diff, source-restricted path solve and
+    /// programme delta. Returns the machine-activity diff; links are
+    /// programmed from the paths by each tenant's [`ProgrammeStore`], and
+    /// the remaining results stay inside (`state`, `paths`, `delta`, …) for
+    /// bundling.
     ///
     /// # Errors
     ///
@@ -381,11 +388,8 @@ impl EpochCompute {
         let state = self.buffers.state().expect("state was just computed");
 
         let snapshot = ConstellationSnapshot::from_state(state);
-        let diff = match &self.previous {
-            Some(previous) => previous.diff(&snapshot),
-            None => ConstellationSnapshot::default().diff(&snapshot),
-        };
-        self.previous = Some(snapshot);
+        let diff = self.previous.diff(&snapshot);
+        self.previous = snapshot;
 
         // Solve shortest paths for the rows the coordinator actually needs:
         // every active satellite and every ground station. Suspended
@@ -801,8 +805,8 @@ fn recv_bundle(
 
 /// Composes two consecutive epoch bundles into one, as if the first epoch
 /// had never been observed separately: the final state is the second
-/// bundle's, the change sets — shared machine/link diff and every tenant's
-/// programme delta — are the composition of both.
+/// bundle's, the change sets — shared machine-activity diff and every
+/// tenant's programme delta — are the composition of both.
 fn compose_bundles(first: Box<EpochBundle>, second: Box<EpochBundle>) -> Box<EpochBundle> {
     let mut bundle = second;
     bundle.diff = compose_diffs(&first.diff, &bundle.diff);
@@ -832,121 +836,41 @@ pub(crate) fn clone_deltas_into(dst: &mut Vec<ProgrammeDelta>, src: &[ProgrammeD
     }
 }
 
-/// Composes two consecutive machine/link change sets: applying the result to
-/// a snapshot is equivalent to applying `first` then `second`, with
-/// transitions that cancel out (activated → suspended, added → removed)
-/// dropped entirely.
+/// Composes two consecutive machine-activity change sets: applying the
+/// result is equivalent to applying `first` then `second`, with transitions
+/// that cancel out (activated → suspended) dropped entirely.
 pub fn compose_diffs(first: &ConstellationDiff, second: &ConstellationDiff) -> ConstellationDiff {
     let mut out = ConstellationDiff {
         time_seconds: second.time_seconds,
         ..ConstellationDiff::default()
     };
 
-    // Machines. Track per node: whether it was created/destroyed in the
-    // window, and its first-known prior activity vs its final activity. The
-    // first operation seen for a node reveals its pre-window state
-    // (`activated` ⇒ it was suspended, `suspended` ⇒ it was active).
-    #[derive(Clone, Copy)]
-    struct MachineTrack {
-        prior: Option<MachineActivity>,
-        added: bool,
-        fin: Option<MachineActivity>, // None = removed
-    }
-    let mut machines: BTreeMap<NodeId, MachineTrack> = BTreeMap::new();
-    let track = |node: NodeId,
-                     machines: &mut BTreeMap<NodeId, MachineTrack>,
-                     prior: Option<MachineActivity>,
-                     added: bool,
-                     fin: Option<MachineActivity>| {
-        machines
-            .entry(node)
-            .and_modify(|t| {
-                t.added = t.added || added;
-                t.fin = fin;
-            })
-            .or_insert(MachineTrack { prior, added, fin });
-    };
+    // Track per node its pre-window activity and its final one. The first
+    // operation seen for a node reveals the former (`activated` ⇒ it was
+    // suspended, `suspended` ⇒ it was active, `added` ⇒ it had none).
+    let mut machines: BTreeMap<NodeId, (Option<MachineActivity>, MachineActivity)> =
+        BTreeMap::new();
     for diff in [first, second] {
-        for &(node, activity) in &diff.machines_added {
-            track(node, &mut machines, None, true, Some(activity));
-        }
-        for &node in &diff.machines_removed {
-            track(node, &mut machines, Some(MachineActivity::Active), false, None);
-        }
-        for &node in &diff.activated {
-            track(
-                node,
-                &mut machines,
-                Some(MachineActivity::Suspended),
-                false,
-                Some(MachineActivity::Active),
-            );
-        }
-        for &node in &diff.suspended {
-            track(
-                node,
-                &mut machines,
-                Some(MachineActivity::Active),
-                false,
-                Some(MachineActivity::Suspended),
-            );
+        let ops = diff
+            .machines_added
+            .iter()
+            .map(|&(node, activity)| (node, None, activity))
+            .chain(diff.activated.iter().map(|&node| {
+                (node, Some(MachineActivity::Suspended), MachineActivity::Active)
+            }))
+            .chain(diff.suspended.iter().map(|&node| {
+                (node, Some(MachineActivity::Active), MachineActivity::Suspended)
+            }));
+        for (node, prior, fin) in ops {
+            machines.entry(node).or_insert((prior, fin)).1 = fin;
         }
     }
-    for (node, track) in machines {
-        match (track.added, track.prior, track.fin) {
-            // Created in the window and still present.
-            (true, _, Some(activity)) => out.machines_added.push((node, activity)),
-            // Created and destroyed within the window: invisible.
-            (true, _, None) => {}
-            (false, _, None) => out.machines_removed.push(node),
-            (false, prior, Some(fin)) => {
-                if prior != Some(fin) {
-                    match fin {
-                        MachineActivity::Active => out.activated.push(node),
-                        MachineActivity::Suspended => out.suspended.push(node),
-                    }
-                }
-            }
-        }
-    }
-
-    // Links: same pattern. First operation reveals pre-window presence
-    // (`added` ⇒ absent, `changed`/`removed` ⇒ present).
-    #[derive(Clone, Copy)]
-    struct LinkTrack<P> {
-        was_present: bool,
-        fin: Option<P>, // None = removed
-    }
-    let mut links: BTreeMap<(NodeId, NodeId), LinkTrack<LinkProperties>> = BTreeMap::new();
-    for diff in [first, second] {
-        for &(pair, props) in &diff.links_added {
-            links
-                .entry(pair)
-                .and_modify(|t| t.fin = Some(props))
-                .or_insert(LinkTrack { was_present: false, fin: Some(props) });
-        }
-        for &(pair, props) in &diff.links_changed {
-            links
-                .entry(pair)
-                .and_modify(|t| t.fin = Some(props))
-                .or_insert(LinkTrack { was_present: true, fin: Some(props) });
-        }
-        for &pair in &diff.links_removed {
-            links
-                .entry(pair)
-                .and_modify(|t| t.fin = None)
-                .or_insert(LinkTrack { was_present: true, fin: None });
-        }
-    }
-    for (pair, track) in links {
-        match (track.was_present, track.fin) {
-            (false, Some(props)) => out.links_added.push((pair, props)),
-            (false, None) => {}
-            (true, None) => out.links_removed.push(pair),
-            // Present before and after: re-shape. The properties may happen
-            // to equal the pre-window ones; re-programming an unchanged link
-            // is harmless, losing a change is not.
-            (true, Some(props)) => out.links_changed.push((pair, props)),
+    for (node, (prior, fin)) in machines {
+        match (prior, fin) {
+            (None, _) => out.machines_added.push((node, fin)),
+            (Some(prior), _) if prior == fin => {}
+            (Some(_), MachineActivity::Active) => out.activated.push(node),
+            (Some(_), MachineActivity::Suspended) => out.suspended.push(node),
         }
     }
     out
@@ -1001,10 +925,11 @@ pub fn compose_deltas(first: &ProgrammeDelta, second: &ProgrammeDelta) -> Progra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use celestial_constellation::{BoundingBox, GroundStation, LinkKind, Shell};
+    use celestial_constellation::{BoundingBox, GroundStation, Shell};
     use celestial_sgp4::WalkerShell;
     use celestial_types::geo::Geodetic;
     use celestial_types::{Bandwidth, Latency};
+    use proptest::prelude::*;
 
     fn constellation() -> Constellation {
         Constellation::builder()
@@ -1206,20 +1131,12 @@ mod tests {
 
     #[test]
     fn compose_diffs_cancels_round_trips() {
-        let gst = NodeId::ground_station(0);
         let sat_a = NodeId::satellite(0, 1);
         let sat_b = NodeId::satellite(0, 2);
-        let props = |ms: f64| LinkProperties {
-            latency: Latency::from_millis_f64(ms),
-            bandwidth: Bandwidth::from_gbps(10),
-            kind: LinkKind::Isl,
-        };
         let d1 = ConstellationDiff {
             time_seconds: 2.0,
             activated: vec![sat_a],
             suspended: vec![sat_b],
-            links_added: vec![((sat_a, sat_b), props(1.0))],
-            links_changed: vec![((gst, sat_a), props(2.0))],
             ..ConstellationDiff::default()
         };
         let d2 = ConstellationDiff {
@@ -1227,8 +1144,6 @@ mod tests {
             // sat_a round-trips back to suspended; sat_b comes back.
             activated: vec![sat_b],
             suspended: vec![sat_a],
-            links_removed: vec![(sat_a, sat_b)],
-            links_changed: vec![((gst, sat_a), props(3.0))],
             ..ConstellationDiff::default()
         };
         let composed = compose_diffs(&d1, &d2);
@@ -1236,11 +1151,6 @@ mod tests {
         // Both machine transitions cancel.
         assert!(composed.activated.is_empty(), "{:?}", composed.activated);
         assert!(composed.suspended.is_empty(), "{:?}", composed.suspended);
-        // The added-then-removed link vanishes; the double change collapses
-        // to the final properties.
-        assert!(composed.links_added.is_empty());
-        assert!(composed.links_removed.is_empty());
-        assert_eq!(composed.links_changed, vec![((gst, sat_a), props(3.0))]);
     }
 
     #[test]
@@ -1262,18 +1172,48 @@ mod tests {
         assert_eq!(composed.time_seconds, 2.0);
     }
 
+    /// The window the composition property samples its times from.
+    const COMPOSE_WINDOW_S: f64 = 3600.0;
+    const COMPOSE_MAX_GAP_S: f64 = 600.0;
+
+    fn snapshot_at(c: &Constellation, t: f64) -> ConstellationSnapshot {
+        ConstellationSnapshot::from_state(&c.state_at(t).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn composing_two_diffs_equals_the_diff_across_both(
+            t0 in 0.0f64..COMPOSE_WINDOW_S,
+            gap1 in 1.0f64..COMPOSE_MAX_GAP_S,
+            gap2 in 1.0f64..COMPOSE_MAX_GAP_S,
+        ) {
+            let c = constellation();
+            let s1 = snapshot_at(&c, t0 + gap1);
+            let s2 = snapshot_at(&c, t0 + gap1 + gap2);
+            let d12 = s1.diff(&s2);
+            for s0 in [ConstellationSnapshot::default(), snapshot_at(&c, t0)] {
+                prop_assert_eq!(compose_diffs(&s0.diff(&s1), &d12), s0.diff(&s2));
+            }
+        }
+    }
+
     #[test]
-    fn compose_is_equivalent_to_sequential_snapshot_application() {
-        // Property check against the snapshot algebra: applying the composed
-        // diff equals applying the two diffs in order.
+    fn the_composition_window_sees_machines_change_activity() {
+        // Keeps the property above from passing vacuously: diffs across the
+        // sampled window do suspend and resume machines.
         let c = constellation();
-        let s0 = ConstellationSnapshot::from_state(&c.state_at(0.0).unwrap());
-        let s1 = ConstellationSnapshot::from_state(&c.state_at(120.0).unwrap());
-        let s2 = ConstellationSnapshot::from_state(&c.state_at(240.0).unwrap());
-        let d01 = s0.diff(&s1);
-        let d12 = s1.diff(&s2);
-        let composed = compose_diffs(&d01, &d12);
-        assert_eq!(s0.apply(&composed), s2);
+        let mut transitions = 0;
+        let mut previous = snapshot_at(&c, 0.0);
+        let mut t = 0.0;
+        while t < COMPOSE_WINDOW_S + 2.0 * COMPOSE_MAX_GAP_S {
+            t += COMPOSE_MAX_GAP_S;
+            let next = snapshot_at(&c, t);
+            let diff = previous.diff(&next);
+            transitions += diff.activated.len() + diff.suspended.len();
+            previous = next;
+        }
+        assert!(transitions > 0, "no machine changed activity in the window");
     }
 
     #[test]
