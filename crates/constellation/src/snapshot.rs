@@ -111,6 +111,7 @@ mod tests {
     use crate::shell::Shell;
     use crate::BoundingBox;
     use celestial_sgp4::WalkerShell;
+    use proptest::prelude::*;
 
     fn constellation() -> Constellation {
         Constellation::builder()
@@ -119,6 +120,33 @@ mod tests {
             .bounding_box(BoundingBox::west_africa())
             .build()
             .expect("valid constellation")
+    }
+
+    /// Applies `diff` to `snapshot` the way the machine managers act on it:
+    /// added nodes take their listed activity, and resumed and suspended
+    /// nodes switch.
+    fn apply(snapshot: &ConstellationSnapshot, diff: &ConstellationDiff) -> ConstellationSnapshot {
+        let mut machines = snapshot.machines.clone();
+        let mut set = |node: NodeId, activity: MachineActivity| {
+            let at = machines.binary_search_by_key(&node, |&(n, _)| n);
+            match at {
+                Ok(i) => machines[i].1 = activity,
+                Err(i) => machines.insert(i, (node, activity)),
+            }
+        };
+        for &(node, activity) in &diff.machines_added {
+            set(node, activity);
+        }
+        for &node in &diff.activated {
+            set(node, MachineActivity::Active);
+        }
+        for &node in &diff.suspended {
+            set(node, MachineActivity::Suspended);
+        }
+        ConstellationSnapshot {
+            time_seconds: diff.time_seconds,
+            machines,
+        }
     }
 
     #[test]
@@ -182,5 +210,18 @@ mod tests {
             prev = next;
         }
         assert!(saw_transition, "no suspend/resume transition in 30 minutes");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn apply_diff_reproduces_target_for_any_times(t0 in 0.0f64..3600.0, t1 in 0.0f64..3600.0) {
+            let c = constellation();
+            let s0 = ConstellationSnapshot::from_state(&c.state_at(t0).unwrap());
+            let s1 = ConstellationSnapshot::from_state(&c.state_at(t1).unwrap());
+            prop_assert_eq!(apply(&s0, &s0.diff(&s1)), s1.clone());
+            let empty = ConstellationSnapshot::default();
+            prop_assert_eq!(apply(&empty, &empty.diff(&s1)), s1);
+        }
     }
 }

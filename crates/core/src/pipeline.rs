@@ -1172,6 +1172,48 @@ mod tests {
         assert_eq!(composed.time_seconds, 2.0);
     }
 
+    /// Applies `diff` to `snapshot` the way the machine managers act on it:
+    /// added nodes take their listed activity, and resumed and suspended
+    /// nodes switch.
+    fn apply(snapshot: &ConstellationSnapshot, diff: &ConstellationDiff) -> ConstellationSnapshot {
+        let mut machines = snapshot.machines.clone();
+        let mut set = |node: NodeId, activity: MachineActivity| {
+            let at = machines.binary_search_by_key(&node, |&(n, _)| n);
+            match at {
+                Ok(i) => machines[i].1 = activity,
+                Err(i) => machines.insert(i, (node, activity)),
+            }
+        };
+        for &(node, activity) in &diff.machines_added {
+            set(node, activity);
+        }
+        for &node in &diff.activated {
+            set(node, MachineActivity::Active);
+        }
+        for &node in &diff.suspended {
+            set(node, MachineActivity::Suspended);
+        }
+        ConstellationSnapshot {
+            time_seconds: diff.time_seconds,
+            machines,
+        }
+    }
+
+    #[test]
+    fn compose_is_equivalent_to_sequential_snapshot_application() {
+        // Applying the composed diff equals applying the two diffs in order,
+        // and both reach the later snapshot.
+        let c = constellation();
+        let s0 = ConstellationSnapshot::from_state(&c.state_at(0.0).unwrap());
+        let s1 = ConstellationSnapshot::from_state(&c.state_at(120.0).unwrap());
+        let s2 = ConstellationSnapshot::from_state(&c.state_at(240.0).unwrap());
+        let d01 = s0.diff(&s1);
+        let d12 = s1.diff(&s2);
+        let composed = compose_diffs(&d01, &d12);
+        assert_eq!(apply(&apply(&s0, &d01), &d12), s2);
+        assert_eq!(apply(&s0, &composed), s2);
+    }
+
     /// The window the composition property samples its times from.
     const COMPOSE_WINDOW_S: f64 = 3600.0;
     const COMPOSE_MAX_GAP_S: f64 = 600.0;
